@@ -6,6 +6,7 @@ import (
 	"sentinel3d/internal/flash"
 	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
 	"sentinel3d/internal/retry"
@@ -65,9 +66,6 @@ func ScheduleByName(name string) (physics.TempSchedule, bool) {
 	return physics.TempSchedule{}, false
 }
 
-// ScheduleNames returns the named schedules in sweep order.
-func ScheduleNames() []string { return []string{"room", "hot", "diurnal"} }
-
 // LifetimeGridHours is the retention grid a lifetime replay measures
 // its sampler pools at, anchored at the age preset's base retention:
 // the starting point, four months on, and a year on. A replay
@@ -110,34 +108,6 @@ type LifetimeResult struct {
 	// policy needed at least as many senses per read as the static table
 	// (the acceptance criterion is zero).
 	Violations int
-}
-
-// countingStressSampler wraps a StressSampler and accumulates the
-// sensing cost of every draw. One instance serves one single-goroutine
-// Sim. Routing through the StressSampler interface (not the
-// devirtualized grid path) is deliberate: the two paths are proven
-// byte-identical, and the wrapper must see every draw.
-type countingStressSampler struct {
-	inner  ssdsim.StressSampler
-	reads  int64
-	senses int64
-}
-
-func (c *countingStressSampler) count(out ssdsim.RetryOutcome) {
-	c.reads++
-	c.senses += int64(1 + out.Retries + out.AuxSenses)
-}
-
-func (c *countingStressSampler) Sample(pageType int, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.Sample(pageType, rng)
-	c.count(out)
-	return out
-}
-
-func (c *countingStressSampler) SampleStressed(pageType int, st physics.Stress, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.SampleStressed(pageType, st, rng)
-	c.count(out)
-	return out
 }
 
 // lifetimeGridPoint is one measured (P/E, retention) chip: its pools,
@@ -255,6 +225,14 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 		traceSec = 1
 	}
 	hoursPerSecond := 1.5 * physics.YearHours / traceSec
+	// Every page of every read request is one page read; senses per
+	// read count the flash ones (unmapped reads never sense).
+	var pageReads int64
+	for _, r := range reqs {
+		if r.Op == trace.Read {
+			pageReads += int64(r.Pages)
+		}
+	}
 
 	res := &LifetimeResult{Requests: requests}
 	type group struct{ ai, si int }
@@ -284,8 +262,9 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 				CalibDriftHours:    2000,
 				CalibUS:            300,
 			}
-			counter := &countingStressSampler{inner: ls}
-			sim, err := ssdsim.New(cfg, counter)
+			// The simulator's own metrics count the auxiliary senses.
+			cfg.Obs = obs.NewRegistry(1).Set(0)
+			sim, err := ssdsim.New(cfg, ls)
 			if err != nil {
 				return nil, err
 			}
@@ -304,8 +283,9 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 				Calibrations: rep.Life.Calibrations,
 				RunErases:    rep.Life.RunErases,
 			}
-			if counter.reads > 0 {
-				cell.SensesPerRead = float64(counter.senses) / float64(counter.reads)
+			if flashReads := pageReads - rep.UnmappedReads; flashReads > 0 {
+				aux := cfg.Obs.Counter("ssdsim.aux_senses", "").Value()
+				cell.SensesPerRead = float64(flashReads+rep.TotalRetries+aux) / float64(flashReads)
 			}
 			cells = append(cells, cell)
 		}

@@ -254,84 +254,3 @@ func TestConcurrentReadsMatchSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestFallbackConcurrentPolicySwitch locks in the per-tenant policy
-// switching contract: flipping a block between sentinel and static-table
-// service with ForceDegraded while reads are in flight (the CI race job
-// runs this under -race) never produces a torn result — every read
-// matches one of the two pure-policy outcomes for its seed, and
-// UsedFallback reports exactly which policy the read actually ran.
-func TestFallbackConcurrentPolicySwitch(t *testing.T) {
-	eng := testEngine(t)
-	chip := agedTLCChip(t, eng)
-	table := NewDefaultTable(chip, 2)
-	fb := NewFallback(NewSentinelPolicy(eng), table)
-	ctl, err := NewController(chip, ecc.CapabilityModel{FrameBits: 8192, T: 28},
-		DefaultLatency(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wls := chip.Config().WordlinesPerBlock()
-
-	// The two pure outcomes per wordline, under the same read seed.
-	type pure struct{ sent, tab Result }
-	pures := make([]pure, wls)
-	for wl := 0; wl < wls; wl++ {
-		seed := mathx.Mix(11, uint64(wl))
-		fb.ForceDegraded(0, false)
-		pures[wl].sent = ctl.Read(0, wl, 2, fb, seed)
-		fb.ForceDegraded(0, true)
-		pures[wl].tab = ctl.Read(0, wl, 2, fb, seed)
-		if pures[wl].sent.UsedFallback {
-			t.Fatalf("wl %d: healthy sentinel read reported fallback", wl)
-		}
-		if !pures[wl].tab.UsedFallback {
-			t.Fatalf("wl %d: forced-degraded read did not report fallback", wl)
-		}
-	}
-	fb.ForceDegraded(0, false)
-
-	stop := make(chan struct{})
-	flipperDone := make(chan struct{})
-	go func() { // the policy switcher
-		defer close(flipperDone)
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			fb.ForceDegraded(0, i%2 == 0)
-		}
-	}()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 32; i++ {
-				wl := (w*7 + i) % wls
-				res := ctl.Read(0, wl, 2, fb, mathx.Mix(11, uint64(wl)))
-				p := pures[wl]
-				matchS := res.OK == p.sent.OK && res.Retries == p.sent.Retries &&
-					res.AuxSenses == p.sent.AuxSenses && res.FinalErrors == p.sent.FinalErrors
-				matchT := res.OK == p.tab.OK && res.Retries == p.tab.Retries &&
-					res.AuxSenses == p.tab.AuxSenses && res.FinalErrors == p.tab.FinalErrors
-				switch {
-				case !matchS && !matchT:
-					t.Errorf("wl %d: torn result %+v (sentinel %+v, table %+v)",
-						wl, res, p.sent, p.tab)
-				case res.UsedFallback && !matchT:
-					t.Errorf("wl %d: UsedFallback set but result %+v is not the table outcome %+v",
-						wl, res, p.tab)
-				case !res.UsedFallback && !matchS:
-					t.Errorf("wl %d: UsedFallback unset but result %+v is not the sentinel outcome %+v",
-						wl, res, p.sent)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(stop)
-	<-flipperDone
-}

@@ -37,8 +37,8 @@ type Spec struct {
 	// bench-line and gate-expression metacharacters).
 	Name string `json:"name"`
 	// Experiment is the registry entry that runs the cell (fig2..fig19,
-	// table1, robust, replay, replay-throughput, charlab, ...). See
-	// Names() for the full list.
+	// table1, robust, replay, replay-throughput, charlab, ...); `reproduce
+	// -list` prints the full list.
 	Experiment string `json:"experiment"`
 	// Scale is "quick" (default) or "full" — the fidelity/runtime
 	// trade-off of experiments.Scale.

@@ -355,10 +355,11 @@ func RunBench(ctx context.Context, cfg BenchConfig) (*BenchReport, error) {
 		cfg.OpenLoopInflight = 64
 	}
 	if cfg.Client == nil {
-		cfg.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConns:        256,
-			MaxIdleConnsPerHost: 256,
-		}}
+		tr := &http.Transport{MaxIdleConns: 256, MaxIdleConnsPerHost: 256}
+		// Connections dialled but never used would otherwise stay open
+		// after the run and hold the server's graceful drain.
+		defer tr.CloseIdleConnections()
+		cfg.Client = &http.Client{Transport: tr}
 	}
 	bc := &benchClient{url: cfg.BaseURL, client: cfg.Client}
 

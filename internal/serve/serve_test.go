@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -201,6 +202,43 @@ func TestServerShutdownDrains(t *testing.T) {
 	// Idempotent.
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("second shutdown: %v", err)
+	}
+}
+
+// TestShutdownClosesSilentConn: an accepted connection that never sends
+// a request must not hold the drain open. http.Server.Shutdown alone
+// waits 5s on such a connection before treating it as idle.
+func TestShutdownClosesSilentConn(t *testing.T) {
+	s := startServer(t, testConfig())
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		s.connMu.Lock()
+		n := len(s.fresh)
+		s.connMu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("server tracks %d fresh connections, want 1", n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Fatalf("silent connection delayed shutdown by %v", d)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("silent connection still open after shutdown")
 	}
 }
 

@@ -141,6 +141,12 @@ type Server struct {
 	httpSrv *http.Server
 	ln      net.Listener
 
+	// fresh holds accepted connections that have not sent a request yet
+	// (http.StateNew). http.Server.Shutdown waits up to 5s before it
+	// treats such a connection as idle, so Shutdown closes them itself.
+	connMu sync.Mutex
+	fresh  map[net.Conn]struct{}
+
 	inflight chan struct{}
 	draining atomic.Bool
 
@@ -167,6 +173,7 @@ func New(cfg Config) (*Server, error) {
 		fleet:           fleet,
 		tenants:         make(map[string]*tenant, len(cfg.Tenants)),
 		ladder:          NewLadder(cfg.Ladder, fleet.MaxQueueFrac, set),
+		fresh:           make(map[net.Conn]struct{}),
 		inflight:        make(chan struct{}, cfg.MaxInflight),
 		inflightRejects: set.Counter("serve.inflight_rejects", "requests bounced by the global in-flight cap"),
 		lateReplies:     set.Counter("serve.late_replies", "completed reads discarded past deadline+grace"),
@@ -194,8 +201,36 @@ func New(cfg Config) (*Server, error) {
 	// Unmatched paths (including /metrics, /slow, /debug/*) fall through
 	// to the obs debug endpoint, so one listener serves both planes.
 	mux.Handle("/", obs.DebugMux(cfg.Obs))
-	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.httpSrv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second,
+		ConnState: s.trackConn}
 	return s, nil
+}
+
+// trackConn keeps the set of never-used connections current. A
+// connection accepted once draining has begun is closed on the spot.
+func (s *Server) trackConn(c net.Conn, st http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if st != http.StateNew {
+		delete(s.fresh, c)
+		return
+	}
+	if s.draining.Load() {
+		_ = c.Close()
+		return
+	}
+	s.fresh[c] = struct{}{}
+}
+
+// closeFresh closes every connection that has not sent a request, so
+// an idle client socket cannot hold the drain open.
+func (s *Server) closeFresh() {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	for c := range s.fresh {
+		_ = c.Close()
+		delete(s.fresh, c)
+	}
 }
 
 // Start binds addr and begins serving; it returns once the listener is
@@ -233,14 +268,16 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Shutdown drains gracefully and is what SIGTERM maps to in flashd:
 // new requests are refused (readyz flips, /read answers 503), the
-// listener closes, in-flight handlers run to completion (bounded by
-// ctx), then the fleet services its queued tail and stops. No accepted
-// request is ever dropped.
+// listener closes, connections that never sent a request are closed,
+// in-flight handlers run to completion (bounded by ctx), then the fleet
+// services its queued tail and stops. No accepted request is ever
+// dropped.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if !s.draining.CompareAndSwap(false, true) {
 		return nil
 	}
 	s.ladder.Stop()
+	s.closeFresh()
 	var err error
 	if s.ln != nil {
 		err = s.httpSrv.Shutdown(ctx)

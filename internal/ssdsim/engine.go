@@ -87,9 +87,7 @@ type Engine struct {
 	cfg     ReplayConfig
 	sampler RetrySampler
 	stripe  stripeMap
-	// shardMask is Shards-1 when Shards is a power of two, else -1;
-	// shardOf then masks instead of dividing.
-	shardMask int64
+	granuleRouter
 }
 
 // NewEngine validates the configuration. Shards, Devices, StripeGranule
@@ -135,16 +133,12 @@ func NewEngine(cfg ReplayConfig, sampler RetrySampler) (*Engine, error) {
 	if err := checkSampler(sub, sampler); err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		cfg:       cfg,
-		sampler:   sampler,
-		stripe:    newStripeMap(cfg.Devices, cfg.StripeGranule, cfg.Replicate),
-		shardMask: -1,
-	}
-	if s := int64(cfg.Shards); s&(s-1) == 0 {
-		e.shardMask = s - 1
-	}
-	return e, nil
+	return &Engine{
+		cfg:           cfg,
+		sampler:       sampler,
+		stripe:        newStripeMap(cfg.Devices, cfg.StripeGranule, cfg.Replicate),
+		granuleRouter: newGranuleRouter(cfg.Shards),
+	}, nil
 }
 
 // targetConfig derives target (d, s)'s sub-device configuration: 1/Shards
@@ -182,19 +176,36 @@ const shardGranule = 64
 // shardGranuleShift is log2(shardGranule), for the divide-free router.
 const shardGranuleShift = 6
 
+// granuleRouter maps a (device-local) LPN to one of n shards by its
+// granule — the routing the replay Engine and the serving Fleet share.
+type granuleRouter struct {
+	shards int64
+	// mask is shards-1 when shards is a power of two, else -1; shardOf
+	// then masks instead of dividing.
+	mask int64
+}
+
+func newGranuleRouter(shards int) granuleRouter {
+	r := granuleRouter{shards: int64(shards), mask: -1}
+	if r.shards&(r.shards-1) == 0 {
+		r.mask = r.shards - 1
+	}
+	return r
+}
+
 // shardOf routes a request by its first (device-local) LPN's granule.
 // The fine interleaving balances shards even on traces whose footprint
 // is a few hot ranges; negative LPNs (malformed traces) route to shard
 // 0, which services them exactly like the unsharded Sim would.
-func (e *Engine) shardOf(lpn int64) int {
+func (r granuleRouter) shardOf(lpn int64) int {
 	if lpn < 0 {
 		return 0
 	}
 	g := lpn >> shardGranuleShift
-	if e.shardMask >= 0 {
-		return int(g & e.shardMask)
+	if r.mask >= 0 {
+		return int(g & r.mask)
 	}
-	return int(g % int64(e.cfg.Shards))
+	return int(g % r.shards)
 }
 
 // denseHintBudgetPages caps the fleet-wide dense-L2P hint: the packed

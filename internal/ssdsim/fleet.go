@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 )
@@ -43,6 +42,7 @@ type Fleet struct {
 	stopped bool
 
 	shards []*fleetShard
+	router granuleRouter
 	wg     sync.WaitGroup
 }
 
@@ -56,8 +56,11 @@ type fleetSampler struct {
 // FleetConfig parameterizes a Fleet.
 type FleetConfig struct {
 	// Sim carries the device geometry, latency model, bits per cell and
-	// the seed of the deterministic outcome streams. Obs and PEFaults are
-	// ignored; Metrics below attaches observability.
+	// the seed of the deterministic outcome streams. The fleet only
+	// reads, so ProgramUS and EraseUS are validated but never charged;
+	// MaxLPN, PEFaults and Obs are ignored (Metrics below attaches
+	// observability); Life must be nil — the fleet serves frozen stress
+	// and NewFleet rejects a lifetime config rather than drop it.
 	Sim Config
 	// Shards is the number of independent sub-devices (default 1); it
 	// must divide Sim.Geo.Channels, exactly like ReplayConfig.Shards.
@@ -154,10 +157,10 @@ type fleetReply struct {
 }
 
 // fleetShard is one sub-device: a bounded queue and the single worker
-// goroutine that owns the shard's FTL.
+// goroutine that owns the shard's device state.
 type fleetShard struct {
 	queue chan fleetReq
-	ftl   *ftl.FTL
+	dev   device
 
 	depth     *obs.Gauge
 	waitUS    *obs.Hist
@@ -202,6 +205,9 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if len(cfg.Samplers) == 0 {
 		return nil, fmt.Errorf("ssdsim: fleet needs at least one sampler")
 	}
+	if cfg.Sim.Life != nil {
+		return nil, fmt.Errorf("ssdsim: fleet does not model device lifetime; Sim.Life must be nil")
+	}
 	if cfg.Metrics != nil && cfg.Metrics.Shards() < cfg.Shards {
 		return nil, fmt.Errorf("ssdsim: metrics registry has %d shards, fleet needs %d",
 			cfg.Metrics.Shards(), cfg.Shards)
@@ -221,7 +227,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 		return nil, fmt.Errorf("ssdsim: premap %d outside [0, 90%% of %d pages]",
 			cfg.PremapPages, total)
 	}
-	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers))}
+	f := &Fleet{cfg: cfg, samplers: make(map[string]fleetSampler, len(cfg.Samplers)),
+		router: newGranuleRouter(cfg.Shards)}
 	for name, s := range cfg.Samplers {
 		if err := checkSampler(sub, s); err != nil {
 			return nil, fmt.Errorf("policy %q: %w", name, err)
@@ -230,11 +237,11 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	}
 	f.shards = make([]*fleetShard, cfg.Shards)
 	for s := range f.shards {
-		ft, err := ftl.New(shardGeo)
+		dev, err := newDevice(sub)
 		if err != nil {
 			return nil, err
 		}
-		sh := &fleetShard{queue: make(chan fleetReq, cfg.QueueDepth), ftl: ft}
+		sh := &fleetShard{queue: make(chan fleetReq, cfg.QueueDepth), dev: dev}
 		if set := cfg.Metrics.Set(s); set != nil {
 			sh.depth = set.Gauge("fleet.queue_depth", "requests queued on this shard")
 			sh.waitUS = set.Hist("fleet.queue_wait_us", "wall-clock queue wait per request")
@@ -247,8 +254,8 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	// Premap ascending: each LPN routes to its owning shard's FTL, the
 	// same granule interleaving the replay engine uses.
 	for lpn := int64(0); lpn < cfg.PremapPages; lpn++ {
-		sh := f.shards[f.shardOf(lpn)]
-		if _, err := sh.ftl.Write(lpn); err != nil {
+		sh := f.shards[f.router.shardOf(lpn)]
+		if _, err := sh.dev.ftl.Write(lpn); err != nil {
 			return nil, err
 		}
 	}
@@ -265,15 +272,6 @@ func (f *Fleet) Shards() int { return len(f.shards) }
 // PremapPages returns the number of LPNs mapped at startup — the
 // logical footprint load generators should stay inside.
 func (f *Fleet) PremapPages() int64 { return f.cfg.PremapPages }
-
-// shardOf mirrors Engine.shardOf: granule-interleaved LPN routing.
-func (f *Fleet) shardOf(lpn int64) int {
-	s := (lpn / shardGranule) % int64(len(f.shards))
-	if s < 0 {
-		return 0
-	}
-	return int(s)
-}
 
 // MaxQueueFrac returns the highest queue occupancy across shards in
 // [0, 1] — the degradation ladder's pressure signal.
@@ -305,7 +303,7 @@ func (f *Fleet) Submit(ctx context.Context, read FleetRead) (FleetResult, error)
 	}
 	req := fleetReq{read: read, ctx: ctx, enqueued: time.Now(),
 		done: make(chan fleetReply, 1)}
-	sh := f.shards[f.shardOf(read.LPN)]
+	sh := f.shards[f.router.shardOf(read.LPN)]
 
 	f.mu.RLock()
 	if f.stopped {
@@ -374,19 +372,18 @@ func (f *Fleet) run(s int) {
 // salt), so neither arrival order nor concurrency changes any result.
 func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 	pol := f.samplers[read.Policy]
-	lat := f.cfg.Sim.Lat
 	res := FleetResult{Shard: s}
 	for p := 0; p < read.Pages; p++ {
 		lpn := read.LPN + int64(p)
-		ppn, ok := sh.ftl.Translate(lpn)
+		ppn, ok := sh.dev.ftl.Translate(lpn)
 		if !ok {
 			res.UnmappedPages++
-			res.SimUS += lat.MapLookup
+			res.SimUS += f.cfg.Sim.Lat.MapLookup
 			res.Check ^= mathx.Mix3(uint64(lpn), pol.salt, 0xdead)
 			continue
 		}
 		rng := mathx.NewRand(mathx.Mix3(f.cfg.Sim.Seed, uint64(lpn), pol.salt))
-		pageType := ppn.Page % f.cfg.Sim.Bits
+		pageType := int(sh.dev.pageType[ppn.Page])
 		out := pol.sampler.Sample(pageType, rng)
 		if f.cfg.CorruptRate > 0 && rng.Float64() < f.cfg.CorruptRate {
 			out.Uncorrectable = true
@@ -400,11 +397,8 @@ func (f *Fleet) service(sh *fleetShard, s int, read FleetRead) FleetResult {
 		res.AuxSenses += out.AuxSenses
 		res.UsedFallback = res.UsedFallback || out.UsedFallback
 		res.Uncorrectable = res.Uncorrectable || out.Uncorrectable
-		attempts := float64(out.Retries + 1)
-		res.SimUS += attempts*(lat.SenseBase+float64(levelsOf(pageType))*lat.SensePerLevel) +
-			float64(out.AuxSenses)*(lat.SenseBase+lat.SensePerLevel) +
-			attempts*(lat.Transfer+lat.ECCDecode) +
-			float64(out.AuxSenses)*lat.Transfer
+		dieTime, chanTime := sh.dev.readCost(&out, pageType)
+		res.SimUS += dieTime + chanTime
 		flags := uint64(0)
 		if out.UsedFallback {
 			flags |= 1

@@ -326,18 +326,14 @@ func FuzzStripeMap(f *testing.F) {
 					t.Fatalf("route(%d) local %d above localBound %d", lpn, local, b)
 				}
 			}
-			// Shard router: in range, and the pow2 mask path agrees
-			// with modulo.
-			e := &Engine{cfg: ReplayConfig{Shards: shards}, shardMask: -1}
-			if s64 := int64(shards); s64&(s64-1) == 0 {
-				e.shardMask = s64 - 1
-			}
-			s := e.shardOf(local)
+			// Shard router: in range, and the shift/mask paths agree
+			// with plain division and modulo.
+			s := newGranuleRouter(shards).shardOf(local)
 			if s < 0 || s >= shards {
 				t.Fatalf("shardOf(%d) = %d out of [0,%d)", local, s, shards)
 			}
 			if local >= 0 {
-				if want := int((local >> shardGranuleShift) % int64(shards)); s != want {
+				if want := int((local / shardGranule) % int64(shards)); s != want {
 					t.Fatalf("shardOf(%d) = %d, reference %d", local, s, want)
 				}
 			} else if s != 0 {

@@ -3,6 +3,7 @@ package ssdsim
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,5 +241,75 @@ func TestFleetCloseDrainsQueued(t *testing.T) {
 	fl.Close()
 	if ok.Load() != n {
 		t.Fatalf("%d/%d in-flight reads serviced", ok.Load(), n)
+	}
+}
+
+// TestFleetReadCostMatchesLatencyModel: a one-page read costs one full
+// page read (sense, transfer, decode) per attempt plus one auxiliary
+// sense per sentinel read, exactly as retry.LatencyModel prices them,
+// and an unmapped read costs the mapping-table lookup alone.
+func TestFleetReadCostMatchesLatencyModel(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Samplers = map[string]RetrySampler{}
+	name := func(r, aux int) string { return fmt.Sprintf("r%d-aux%d", r, aux) }
+	for _, r := range []int{0, 1, 3} {
+		for _, aux := range []int{0, 2} {
+			cfg.Samplers[name(r, aux)] = FixedSampler{RetryOutcome{Retries: r, AuxSenses: aux}}
+		}
+	}
+	fl, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fl.Close()
+	lat := cfg.Sim.Lat
+	// One premapped LPN per page type, found before any read is served.
+	lpnOf := make([]int64, cfg.Sim.Bits)
+	for pt := range lpnOf {
+		lpnOf[pt] = -1
+	}
+	for lpn := int64(0); lpn < fl.PremapPages(); lpn++ {
+		ppn, ok := fl.shards[fl.router.shardOf(lpn)].dev.ftl.Translate(lpn)
+		if pt := ppn.Page % cfg.Sim.Bits; ok && lpnOf[pt] < 0 {
+			lpnOf[pt] = lpn
+		}
+	}
+	for pt, lpn := range lpnOf {
+		if lpn < 0 {
+			t.Fatalf("no premapped LPN of page type %d", pt)
+		}
+		for _, r := range []int{0, 1, 3} {
+			for _, aux := range []int{0, 2} {
+				res, err := fl.Submit(context.Background(),
+					FleetRead{LPN: lpn, Policy: name(r, aux)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := float64(r+1)*lat.PageRead(1<<pt) + float64(aux)*lat.AuxSense()
+				if res.SimUS != want {
+					t.Fatalf("page type %d, %d retries, %d aux: SimUS %v, want %v",
+						pt, r, aux, res.SimUS, want)
+				}
+			}
+		}
+	}
+	res, err := fl.Submit(context.Background(),
+		FleetRead{LPN: fl.PremapPages(), Policy: name(3, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.UnmappedPages != 1 || res.SimUS != lat.MapLookup {
+		t.Fatalf("unmapped read: %+v, want SimUS %v", res, lat.MapLookup)
+	}
+}
+
+// TestFleetRejectsLifetime: the fleet serves frozen stress, so a
+// lifetime config must be refused rather than silently dropped.
+func TestFleetRejectsLifetime(t *testing.T) {
+	cfg := fleetTestConfig()
+	cfg.Sim.Life = &LifetimeConfig{BasePE: 1000}
+	if fl, err := NewFleet(cfg); err == nil {
+		fl.Close()
+		t.Fatal("NewFleet accepted Sim.Life")
 	}
 }

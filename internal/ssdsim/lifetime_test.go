@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"sentinel3d/internal/fault"
-	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
@@ -258,50 +257,79 @@ func TestFrozenReportUnchangedByLifetimeCode(t *testing.T) {
 	}
 }
 
-// boxedStressSampler hides the concrete *LifetimeSampler so the Sim
-// takes the interface (ssampler) path instead of the devirtualized one.
-type boxedStressSampler struct{ ls *LifetimeSampler }
-
-func (b boxedStressSampler) Sample(pt int, rng *mathx.Rand) RetryOutcome {
-	return b.ls.Sample(pt, rng)
+// readStress is the uncached reference for lifetime.pool: the stress a
+// read of (plane, block) sees at the clock's current reading,
+// recomputed from the block's erase count and retention epoch.
+func (l *lifetime) readStress(plane, block int) physics.Stress {
+	i := plane*l.blocksPerPlane + block
+	return physics.Stress{
+		PECycles:          l.cfg.BasePE + int(l.cycles[i]),
+		EffRetentionHours: l.effRetention(i, l.clock.NowHours()),
+	}
 }
 
-func (b boxedStressSampler) SampleStressed(pt int, st physics.Stress, rng *mathx.Rand) RetryOutcome {
-	return b.ls.SampleStressed(pt, st, rng)
+// gridPool is the uncached reference grid lookup: the floor grid point
+// of a stress state on both axes, clamped to the grid edges.
+func (ls *LifetimeSampler) gridPool(st physics.Stress) *EmpiricalSampler {
+	i := 0
+	for i+1 < len(ls.PEs) && ls.PEs[i+1] <= st.PECycles {
+		i++
+	}
+	j := 0
+	for j+1 < len(ls.Hours) && ls.Hours[j+1] <= st.EffRetentionHours {
+		j++
+	}
+	return ls.Pools[i*len(ls.Hours)+j]
 }
 
-// TestLifetimePoolCacheMatchesDirectLookup: the per-block expiry cache
-// used by the devirtualized sampler path must resolve exactly the pool
-// that gridPool resolves from the block's recomputed stress on every
-// read — pinned by running the same replay through both paths and
-// requiring byte-identical reports (same pools → same RNG draws).
+// TestLifetimePoolCacheMatchesDirectLookup: on every flash read of a
+// lifetime replay, the per-block expiry cache must resolve exactly the
+// pool that gridPool resolves from the block's recomputed stress. The
+// check runs after each read request at the same clock reading, so the
+// cached entry it sees is the one the read drew from.
 func TestLifetimePoolCacheMatchesDirectLookup(t *testing.T) {
 	reqs := engineTrace(t, 12000)
-	run := func(sampler RetrySampler) *Report {
-		cfg := engineConfig()
-		cfg.Life = lifeConfig()
-		sim, err := New(cfg, sampler)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sim.Precondition(reqs); err != nil {
-			t.Fatal(err)
-		}
-		sim.beginReplay()
-		rep, err := sim.Run(reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+	cfg := engineConfig()
+	cfg.Life = lifeConfig()
+	ls := lifeSampler()
+	sim, err := New(cfg, ls)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cached := run(lifeSampler())
-	direct := run(boxedStressSampler{lifeSampler()})
-	if !reflect.DeepEqual(cached, direct) {
-		t.Fatalf("pool cache diverged from per-read grid lookup:\n got %+v\nwant %+v",
-			cached, direct)
+	if err := sim.Precondition(reqs); err != nil {
+		t.Fatal(err)
 	}
-	if cached.TotalRetries == 0 {
-		t.Fatal("degenerate comparison: no retries drawn")
+	sim.beginReplay()
+	rep := &Report{collect: true}
+	checked := 0
+	seen := map[*EmpiricalSampler]bool{}
+	for _, r := range reqs {
+		if err := sim.service(r, rep); err != nil {
+			t.Fatal(err)
+		}
+		if r.Op != trace.Read {
+			continue
+		}
+		for p := 0; p < r.Pages; p++ {
+			ppn, ok := sim.ftl.Translate(r.LPN + int64(p))
+			if !ok {
+				continue
+			}
+			cached := sim.life.pool(ls, ppn.Plane, ppn.Block)
+			direct := ls.gridPool(sim.life.readStress(ppn.Plane, ppn.Block))
+			if cached != direct {
+				t.Fatalf("read of lpn %d at %.1f h: cached pool diverged from the per-read grid lookup",
+					r.LPN+int64(p), sim.life.clock.NowHours())
+			}
+			seen[direct] = true
+			checked++
+		}
+	}
+	if checked == 0 || rep.TotalRetries == 0 {
+		t.Fatalf("degenerate comparison: %d reads checked, %d retries drawn", checked, rep.TotalRetries)
+	}
+	if len(seen) < 2 {
+		t.Fatalf("replay never left one grid cell (%d pools seen)", len(seen))
 	}
 }
 

@@ -116,22 +116,6 @@ func (e *EmpiricalSampler) MeanRetries(p int) float64 {
 	return float64(s) / float64(len(pool))
 }
 
-// UncorrectableRate returns the fraction of page type p's pool that ended
-// uncorrectable.
-func (e *EmpiricalSampler) UncorrectableRate(p int) float64 {
-	pool := e.pool(p)
-	if len(pool) == 0 {
-		return 0
-	}
-	n := 0
-	for _, o := range pool {
-		if o.Uncorrectable {
-			n++
-		}
-	}
-	return float64(n) / float64(len(pool))
-}
-
 // BuildSampler measures retry outcomes on a chip through a retry
 // controller and policy: every page of every listed wordline is read
 // reps times. The resulting pools feed the trace-driven simulation.
@@ -410,10 +394,12 @@ func (r *Report) finalize() {
 	}
 }
 
-// Sim runs traces against one SSD instance.
+// Sim runs traces against one SSD instance: the shared device read-cost
+// model plus the die/channel busy-until clocks that queue its page
+// operations.
 type Sim struct {
+	device
 	cfg     Config
-	ftl     *ftl.FTL
 	sampler RetrySampler
 	rng     *mathx.Rand
 	met     *simMetrics
@@ -421,30 +407,21 @@ type Sim struct {
 	dieFree  []float64
 	chanFree []float64
 
-	// Hot-path caches. esampler devirtualizes the common sampler so the
-	// per-read draw is a direct call; planeDie/planeChan/pageType replace
-	// the per-page divisions with table lookups; the latency sums fold
-	// cfg.Lat's per-read arithmetic into constants (computed exactly as
-	// the inline expressions did, so latencies stay bit-identical); wres
-	// and sout are reused per-call scratch (one per Sim — Sims are
-	// single-goroutine by contract).
-	esampler    *EmpiricalSampler
-	planeDie    []int32
-	planeChan   []int32
-	pageType    []uint8
-	senseByType [4]float64 // SenseBase + levels(pt)*SensePerLevel
-	auxSenseUS  float64    // SenseBase + SensePerLevel
-	xferBurstUS float64    // Transfer + ECCDecode
-	migProgUS   float64    // GC migration: MSB-page read + program
-	wres        ftl.WriteResult
-	sout        RetryOutcome
+	// Hot-path state. esampler is the pool every frozen read draws from
+	// (the sampler itself, or a frozen LifetimeSampler's grid origin),
+	// so the per-read draw is a direct call; migProgUS folds the GC
+	// migration cost into a constant; wres and sout are reused per-call
+	// scratch (one per Sim — Sims are single-goroutine by contract).
+	esampler  *EmpiricalSampler
+	migProgUS float64 // GC migration: MSB-page read + program
+	wres      ftl.WriteResult
+	sout      RetryOutcome
 
 	// Lifetime state (nil when Config.Life is nil — the frozen path pays
-	// one nil check per read). lsampler is the devirtualized grid
-	// sampler; ssampler the interface fallback for custom StressSamplers.
+	// one nil check per read). lsampler is the grid sampler whose
+	// per-block pools dynamic aging draws from.
 	life     *lifetime
 	lsampler *LifetimeSampler
-	ssampler StressSampler
 }
 
 // checkSampler verifies the sampler exists and matches the config's
@@ -477,49 +454,40 @@ func New(cfg Config, sampler RetrySampler) (*Sim, error) {
 	if err := checkSampler(cfg, sampler); err != nil {
 		return nil, err
 	}
-	f, err := ftl.New(cfg.Geo)
+	dev, err := newDevice(cfg)
 	if err != nil {
 		return nil, err
 	}
+	f := dev.ftl
 	if cfg.MaxLPN > 0 {
 		f.SetLPNBound(cfg.MaxLPN)
 	}
 	f.Faults = cfg.PEFaults
 	f.Obs = ftl.NewMetrics(cfg.Obs)
 	s := &Sim{
+		device:   dev,
 		cfg:      cfg,
-		ftl:      f,
 		sampler:  sampler,
 		rng:      mathx.NewRand(cfg.Seed ^ 0x55d51a1),
 		met:      newSimMetrics(cfg.Obs),
 		dieFree:  make([]float64, cfg.Geo.Dies()),
 		chanFree: make([]float64, cfg.Geo.Channels),
 	}
-	s.esampler, _ = sampler.(*EmpiricalSampler)
+	switch sm := sampler.(type) {
+	case *EmpiricalSampler:
+		s.esampler = sm
+	case *LifetimeSampler:
+		// Frozen replays draw from the grid origin, exactly what
+		// LifetimeSampler.Sample draws from.
+		s.esampler = sm.Pools[0]
+		if cfg.Life != nil {
+			s.lsampler = sm
+		}
+	}
 	if cfg.Life != nil {
 		s.life = newLifetime(cfg)
 		f.Wear = s.life // unarmed until beginReplay: precondition churn is not wear
-		s.lsampler, _ = sampler.(*LifetimeSampler)
-		if s.lsampler == nil {
-			s.ssampler, _ = sampler.(StressSampler)
-		}
 	}
-	planes := cfg.Geo.Planes()
-	s.planeDie = make([]int32, planes)
-	s.planeChan = make([]int32, planes)
-	for p := 0; p < planes; p++ {
-		s.planeDie[p] = int32(cfg.Geo.Die(p))
-		s.planeChan[p] = int32(cfg.Geo.Channel(p))
-	}
-	s.pageType = make([]uint8, cfg.Geo.PagesPerBlock)
-	for p := range s.pageType {
-		s.pageType[p] = uint8(p % cfg.Bits)
-	}
-	for pt := 0; pt < cfg.Bits; pt++ {
-		s.senseByType[pt] = cfg.Lat.SenseBase + float64(levelsOf(pt))*cfg.Lat.SensePerLevel
-	}
-	s.auxSenseUS = cfg.Lat.SenseBase + cfg.Lat.SensePerLevel
-	s.xferBurstUS = cfg.Lat.Transfer + cfg.Lat.ECCDecode
 	migRead := cfg.Lat.SenseBase + float64(levelsOf(cfg.Bits-1))*cfg.Lat.SensePerLevel
 	s.migProgUS = migRead + cfg.ProgramUS
 	return s, nil
@@ -664,35 +632,9 @@ func (s *Sim) Precondition(reqs []trace.Request) error {
 			bound = max
 		}
 	}
-	return s.preconditionFrom(trace.Sliced(reqs), bound)
-}
-
-// PreconditionSource is Precondition over a streamed trace: it writes
-// the trace's LPNs in ascending unique order (the same order the
-// map-based dedup produced) without materializing the request stream.
-// Sources that know their LPN bound (the generator, the binary format)
-// get the bitmap dedup automatically.
-func (s *Sim) PreconditionSource(src trace.Source) error {
-	bound := s.cfg.MaxLPN
-	if bound == 0 {
-		if m, ok := src.(interface{ MaxLPN() int64 }); ok {
-			bound = m.MaxLPN()
-		}
-	}
-	return s.preconditionFrom(src, bound)
-}
-
-func (s *Sim) preconditionFrom(src trace.Source, maxLPN int64) error {
-	d := newLPNDedup(maxLPN)
-	for {
-		r, ok, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			break
-		}
-		d.addRange(r.LPN, r.Pages)
+	d := newLPNDedup(bound)
+	for i := range reqs {
+		d.addRange(reqs[i].LPN, reqs[i].Pages)
 	}
 	return d.each(func(lpn int64) error {
 		return s.ftl.WriteInto(lpn, &s.wres)
@@ -830,31 +772,19 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 	}
 	pageType := int(s.pageType[ppn.Page])
 	die := s.planeDie[ppn.Plane]
-	var out *RetryOutcome
+	pool := s.esampler
 	if s.life != nil {
 		// Dynamic aging: charge any due calibration to the die, then
-		// draw from the pool matching the block's *current* stress.
+		// draw from the pool matching the block's *current* stress,
+		// resolved through the per-block expiry cache.
 		s.beforeOp(die, arrive)
-		switch {
-		case s.lsampler != nil:
-			// Devirtualized grid path: resolve the block's current grid
-			// cell through the per-block expiry cache, skipping the
-			// Stress construction entirely.
-			out = s.life.pool(s.lsampler, ppn.Plane, ppn.Block).sampleRef(pageType, s.rng)
-		case s.ssampler != nil:
-			st := s.life.readStress(ppn.Plane, ppn.Block)
-			s.sout = s.ssampler.SampleStressed(pageType, st, s.rng)
-			out = &s.sout
-		case s.esampler != nil:
-			s.life.readStress(ppn.Plane, ppn.Block) // keep disturb accounting
-			out = s.esampler.sampleRef(pageType, s.rng)
-		default:
-			s.life.readStress(ppn.Plane, ppn.Block)
-			s.sout = s.sampler.Sample(pageType, s.rng)
-			out = &s.sout
+		if s.lsampler != nil {
+			pool = s.life.pool(s.lsampler, ppn.Plane, ppn.Block)
 		}
-	} else if s.esampler != nil {
-		out = s.esampler.sampleRef(pageType, s.rng)
+	}
+	var out *RetryOutcome
+	if pool != nil {
+		out = pool.sampleRef(pageType, s.rng)
 	} else {
 		s.sout = s.sampler.Sample(pageType, s.rng)
 		out = &s.sout
@@ -866,10 +796,7 @@ func (s *Sim) readPage(arrive float64, lpn int64, rep *Report) (float64, error) 
 	if out.UsedFallback {
 		rep.FallbackReads++
 	}
-	attempts := float64(out.Retries + 1)
-	aux := float64(out.AuxSenses)
-	dieTime := attempts*s.senseByType[pageType] + aux*s.auxSenseUS
-	chanTime := attempts*s.xferBurstUS + aux*s.cfg.Lat.Transfer
+	dieTime, chanTime := s.readCost(out, pageType)
 
 	ch := s.planeChan[ppn.Plane]
 	senseStart := maxf(arrive, s.dieFree[die])

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -108,38 +107,6 @@ func TestBinaryOpenerResets(t *testing.T) {
 		if len(got) != len(reqs) || got[0] != reqs[0] || got[1] != reqs[1] {
 			t.Fatalf("pass %d decoded %+v, want %+v", pass, got, reqs)
 		}
-	}
-}
-
-// TestBinaryFileRoundTrip: WriteBinaryFile + ReadBinaryFile preserve
-// the trace.
-func TestBinaryFileRoundTrip(t *testing.T) {
-	reqs := []Request{
-		{ArriveUS: 0, Op: Write, LPN: 0, Pages: 1},
-		{ArriveUS: 7, Op: Read, LPN: 99, Pages: 4},
-	}
-	path := filepath.Join(t.TempDir(), "trace.bin")
-	if err := WriteBinaryFile(path, Sliced(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	src, err := ReadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0] != reqs[0] || got[1] != reqs[1] {
-		t.Fatalf("file round trip decoded %+v", got)
-	}
-
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, Sliced(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), EncodeBinary(reqs)) {
-		t.Fatal("WriteBinary diverged from EncodeBinary")
 	}
 }
 
