@@ -42,6 +42,7 @@ func main() {
 
 		metricsOut = flag.String("metrics", "", "write a Prometheus-style metrics snapshot here at exit ('-' for stdout)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address during the run")
+		prof       = obs.ProfileFlags()
 	)
 	flag.Parse()
 	parallel.SetWorkers(*workers)
@@ -80,6 +81,9 @@ func main() {
 		}
 	}
 
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
 	res, err := scenario.RunCell(scenario.Spec{
 		Name:       "flashlab",
 		Experiment: "charlab",
@@ -93,6 +97,9 @@ func main() {
 		Seed:       *seed,
 		Fault:      fault,
 	}, scenario.RunOptions{Obs: reg})
+	if err := prof.Stop(); err != nil {
+		log.Fatal(err)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}

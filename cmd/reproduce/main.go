@@ -12,6 +12,7 @@
 //	reproduce -list                          # show every registry entry
 //	reproduce -matrix scenarios/paper.json   # the full declarative matrix
 //	reproduce -matrix scenarios/smoke.json -cells '^replay_' -out results/
+//	reproduce -exp fig14 -cpuprofile cpu.pprof   # profile a short run
 //
 // Experiment ids: fig2 fig3 fig45 fig6 fig7 fig8 fig10 table1 fig12 fig13
 // fig14 fig15 (alias: errcomp, covers figs 15-18) fig19 robust ablations
@@ -59,6 +60,7 @@ func main() {
 
 		metricsOut = flag.String("metrics", "", "write a Prometheus-style metrics snapshot here at exit ('-' for stdout)")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /slow, /debug/vars and /debug/pprof on this address during the run")
+		prof       = obs.ProfileFlags()
 	)
 	flag.Parse()
 	parallel.SetWorkers(*workers)
@@ -101,11 +103,17 @@ func main() {
 		os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
 	var runErr error
 	if *matrixPath != "" {
 		runErr = runMatrix(ctx, *matrixPath, *cellsRe, *outDir, *benchOut, reg)
 	} else {
 		runErr = runExp(ctx, *expID, *scaleStr, *kindStr, *requests, *workload, *policy, *shards, *devices, reg)
+	}
+	if err := prof.Stop(); err != nil {
+		log.Fatal(err)
 	}
 
 	// The metrics snapshot lands before any failure exit, so an

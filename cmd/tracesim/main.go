@@ -63,6 +63,7 @@ func main() {
 		slowOut    = flag.String("slow", "", "write the slowest-read trace as JSONL here at exit ('-' for stdout)")
 		slowN      = flag.Int("slow-n", 32, "slow reads retained per shard for -slow / -debug-addr")
 		debugAddr  = flag.String("debug-addr", "", "serve /metrics, /slow, /debug/vars and /debug/pprof on this address during the run")
+		prof       = obs.ProfileFlags()
 	)
 	flag.Parse()
 	parallel.SetWorkers(*workers)
@@ -179,7 +180,13 @@ func main() {
 		fmt.Printf("faults: %.3g of OOB cells stuck high (seed %d)\n", *faultStuck, *faultSeed)
 	}
 
+	if err := prof.Start(); err != nil {
+		log.Fatal(err)
+	}
 	res, runErr := scenario.Run(m, scenario.RunOptions{Obs: reg, KeepPayload: true, Ctx: ctx})
+	if err := prof.Stop(); err != nil {
+		log.Fatal(err)
+	}
 	if runErr != nil && ctx.Err() == nil {
 		log.Fatal(runErr)
 	}

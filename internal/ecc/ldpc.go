@@ -3,6 +3,7 @@ package ecc
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"sentinel3d/internal/mathx"
 )
@@ -171,11 +172,11 @@ func (c *LDPC) Decode(llr []float64, maxIter int) DecodeResult {
 		panic(fmt.Sprintf("ecc: Decode got %d LLRs, want %d", len(llr), c.N))
 	}
 	const alpha = 0.8 // min-sum normalization
-	e := len(c.edgeVar)
-	c2v := make([]float64, e)
-	v2c := make([]float64, e)
-	total := make([]float64, c.N)
-	hard := make([]bool, c.N)
+	sc := getDecodeScratch(len(c.edgeVar), c.N)
+	defer decodeScratchPool.Put(sc)
+	// Every iteration writes all of c2v (check update) and hard before
+	// reading them, so the recycled buffers need no clearing.
+	c2v, v2c, hard := sc.c2v, sc.v2c, sc.hard
 
 	// Initialize variable-to-check messages with channel LLRs.
 	for idx, v := range c.edgeVar {
@@ -221,7 +222,6 @@ func (c *LDPC) Decode(llr []float64, maxIter int) DecodeResult {
 			for k := c.varStart[v]; k < c.varStart[v+1]; k++ {
 				t += c2v[c.varEdge[k]]
 			}
-			total[v] = t
 			hard[v] = t < 0
 			for k := c.varStart[v]; k < c.varStart[v+1]; k++ {
 				ei := c.varEdge[k]
@@ -235,6 +235,31 @@ func (c *LDPC) Decode(llr []float64, maxIter int) DecodeResult {
 		}
 	}
 	return DecodeResult{OK: false, Iterations: maxIter}
+}
+
+// decodeScratch holds Decode's message and hard-decision buffers; they
+// are recycled through decodeScratchPool, since a decode allocating them
+// afresh dominated the soft-decoding path's allocation.
+type decodeScratch struct {
+	c2v, v2c []float64
+	hard     []bool
+}
+
+var decodeScratchPool sync.Pool // *decodeScratch
+
+func getDecodeScratch(edges, n int) *decodeScratch {
+	sc, _ := decodeScratchPool.Get().(*decodeScratch)
+	if sc == nil {
+		sc = new(decodeScratch)
+	}
+	if cap(sc.c2v) < edges {
+		sc.c2v, sc.v2c = make([]float64, edges), make([]float64, edges)
+	}
+	if cap(sc.hard) < n {
+		sc.hard = make([]bool, n)
+	}
+	sc.c2v, sc.v2c, sc.hard = sc.c2v[:edges], sc.v2c[:edges], sc.hard[:n]
+	return sc
 }
 
 // DecodeData is Decode restricted to the information bits: on success it

@@ -187,6 +187,19 @@ func (s Scale) TrainModel(kind flash.Kind, trainSeed uint64) (*sentinel.Model, e
 	return m, nil
 }
 
+// NewChip builds a chip from cfg whose reads report to the scale's
+// registry (flash.Metrics). Only TrainModel's chip stays uninstrumented:
+// training is memoized per process, so counting its reads would make a
+// snapshot depend on which experiment ran first.
+func (s Scale) NewChip(cfg flash.Config) (*flash.Chip, error) {
+	chip, err := flash.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	chip.SetMetrics(flash.NewMetrics(s.obsSet()))
+	return chip, nil
+}
+
 // BuildEvalChip creates an evaluation chip with every wordline programmed
 // (random data plus the sentinel pattern) and aged to (pe, hours at room
 // temperature). Wordlines are programmed concurrently, each from its own
@@ -194,7 +207,7 @@ func (s Scale) TrainModel(kind flash.Kind, trainSeed uint64) (*sentinel.Model, e
 // programmed data is identical at any worker count.
 func (s Scale) BuildEvalChip(kind flash.Kind, seed uint64, eng *sentinel.Engine, pe int, hours float64) (*flash.Chip, error) {
 	cfg := s.ChipConfig(kind, seed)
-	chip, err := flash.New(cfg)
+	chip, err := s.NewChip(cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func Fig10InferenceFit(s Scale, kind flash.Kind) (*Fig10Result, error) {
 		return nil, err
 	}
 	// Re-collect the raw scatter for the plot.
-	trainChip, err := flash.New(s.ChipConfig(kind, 110))
+	trainChip, err := s.NewChip(s.ChipConfig(kind, 110))
 	if err != nil {
 		return nil, err
 	}

@@ -113,7 +113,7 @@ func Fig19LDPC(s Scale) (*Fig19Result, error) {
 	indices := layout.Indices(cfg)
 	rng := mathx.NewRand(0x19c)
 	for _, pe := range []int{0, 1000, 2000, 3000, 4000, 5000} {
-		chip, err := flash.New(cfg)
+		chip, err := s.NewChip(cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -326,7 +326,7 @@ type Fig8Result struct {
 // fits each voltage's optimum against V8's.
 func Fig8Correlation(s Scale) (*Fig8Result, error) {
 	cfg := s.ChipConfig(flash.QLC, 108)
-	chip, err := flash.New(cfg)
+	chip, err := s.NewChip(cfg)
 	if err != nil {
 		return nil, err
 	}

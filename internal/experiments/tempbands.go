@@ -31,7 +31,7 @@ func TempBandExperiment(s Scale) (*TempBandResult, error) {
 	const hotC = 85
 	// Train with explicit bands; the model cache key does not cover
 	// bands, so train directly.
-	chip, err := flash.New(s.ChipConfig(flash.QLC, 141))
+	chip, err := s.NewChip(s.ChipConfig(flash.QLC, 141))
 	if err != nil {
 		return nil, err
 	}

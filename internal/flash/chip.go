@@ -25,7 +25,12 @@ var (
 type FaultModel interface {
 	// PerturbVth mutates the freshly computed threshold-voltage vector of
 	// one read operation on wordline (b, wl). readSeed identifies the read
-	// operation, exactly as for sensing noise.
+	// operation, exactly as for sensing noise. It must act on each cell
+	// alone and monotonically: vth[i]'s new value may depend on i and on
+	// the arguments but not on other cells' values, and must not decrease
+	// when vth[i] increases (adding value-independent shifts qualifies).
+	// The read kernel perturbs bounds of the threshold voltages as well
+	// as the voltages themselves and relies on this (see BeginRead).
 	PerturbVth(b, wl int, readSeed uint64, vth []float64)
 	// ProgramFails reports whether programming wordline (b, wl) at the
 	// given program epoch fails.
@@ -60,10 +65,11 @@ type Config struct {
 	// defaults for Kind.
 	Params *physics.Params
 
-	// CacheZ caches each wordline's frozen program offsets as float32 at
-	// program time, trading memory (4 bytes/cell) for much faster repeated
-	// reads. Recommended for experiments; tests with tiny geometries can
-	// disable it to exercise the hash path.
+	// CacheZ caches each wordline's frozen program offsets at program
+	// time, quantized to int16 (see physics.Model.FillCellZQ), trading
+	// memory (2 bytes/cell) for much faster repeated reads. Recommended
+	// for experiments; tests with tiny geometries can disable it to
+	// exercise the hash path.
 	CacheZ bool
 }
 
@@ -129,14 +135,14 @@ func (c Config) Validate() error {
 //     readers each hold private buffers. A single *ReadOp*, however, is
 //     not for concurrent use — one goroutine per handle.
 //   - ProgramStates writes only its own wordline's slot (including the
-//     zcache fill when CacheZ is set), so concurrent programs of
+//     program-offset cache when CacheZ is set), so concurrent programs of
 //     *distinct* wordlines are safe, as are concurrent reads of other,
 //     already-programmed wordlines.
 //   - Block-level mutations (EraseBlock, Cycle, Age, SetStress,
 //     SetReadTemperature, ResetRetention) write the shared block stress
 //     state and must not run concurrently with anything else touching
-//     that block. SetFaults swaps the chip-wide fault model and must not
-//     run concurrently with anything at all.
+//     that block. SetFaults and SetMetrics swap chip-wide hooks and must
+//     not run concurrently with anything at all.
 //
 // The experiment drivers in internal/experiments rely on exactly this:
 // they fan out per-wordline work (programming, then read-only sweeps)
@@ -147,6 +153,7 @@ type Chip struct {
 	model  *physics.Model
 	blocks []blockState
 	faults FaultModel
+	obs    *Metrics
 }
 
 type blockState struct {
@@ -159,7 +166,8 @@ type wlState struct {
 	programmed bool
 	epoch      uint64
 	states     []uint8
-	zcache     []float32
+	// zq caches the quantized first-stage program offsets (CacheZ only).
+	zq []int16
 }
 
 // New builds a chip. The same Config always yields an identical chip.
@@ -223,6 +231,10 @@ func (c *Chip) SetFaults(f FaultModel) { c.faults = f }
 
 // Faults returns the attached fault model (nil when fault-free).
 func (c *Chip) Faults() FaultModel { return c.faults }
+
+// SetMetrics attaches (or, with nil, detaches) the read kernel's
+// counters. Like SetFaults it is a chip-wide mutation.
+func (c *Chip) SetMetrics(m *Metrics) { c.obs = m }
 
 // LayerOf returns the layer of wordline wl within its block.
 func (c *Chip) LayerOf(wl int) int { return wl % c.cfg.Layers }
@@ -340,12 +352,12 @@ func (c *Chip) ProgramStates(b, wl int, states []uint8) error {
 	}
 	copy(w.states, states)
 	if c.cfg.CacheZ {
-		if w.zcache == nil {
-			w.zcache = make([]float32, len(states))
+		if w.zq == nil {
+			w.zq = make([]int16, len(states))
 		}
-		c.model.FillCellZ(c.globalWL(b, wl), w.epoch, w.zcache)
+		c.model.FillCellZQ(c.globalWL(b, wl), w.epoch, w.zq)
 	} else {
-		w.zcache = nil
+		w.zq = nil
 	}
 	return nil
 }
@@ -385,48 +397,6 @@ func (c *Chip) States(b, wl int) []uint8 {
 	out := make([]uint8, len(w.states))
 	copy(out, w.states)
 	return out
-}
-
-// vthAll fills buf with every cell's threshold voltage for one read
-// operation (one shared read seed). It returns the filled slice. env is
-// caller-owned scratch for the resolved wordline environment (its slices
-// are reused), so the steady-state path performs no allocations.
-func (c *Chip) vthAll(b, wl int, readSeed uint64, buf []float64, env *physics.WLEnv) []float64 {
-	w := &c.blocks[b].wls[wl]
-	if !w.programmed {
-		panic("flash: read of unprogrammed wordline")
-	}
-	n := c.cfg.CellsPerWordline
-	if cap(buf) < n {
-		buf = make([]float64, n)
-	}
-	buf = buf[:n]
-	g := c.globalWL(b, wl)
-	c.model.EnvInto(env, c.LayerOf(wl), g, c.blocks[b].stress)
-	if w.zcache != nil {
-		// Batched form of the per-cell sum: the sensing-noise hash stream
-		// setup is hoisted out of the loop (physics.NoiseStream); the
-		// floating-point grouping matches the scalar path exactly.
-		ns := c.model.Noise(readSeed)
-		nf := float64(n)
-		for i := 0; i < n; i++ {
-			s := int(w.states[i])
-			pos := (float64(i)+0.5)/nf - 0.5
-			var grad float64
-			if s > 0 {
-				grad = env.Gradient * pos
-			}
-			buf[i] = env.Mean[s] + grad +
-				env.Sigma[s]*float64(w.zcache[i]) +
-				ns.At(i)
-		}
-	} else {
-		c.model.FillVth(*env, g, w.states, w.epoch, readSeed, buf)
-	}
-	if c.faults != nil {
-		c.faults.PerturbVth(b, wl, readSeed, buf)
-	}
-	return buf
 }
 
 // Offsets is a per-read-voltage tuning vector in normalized units,

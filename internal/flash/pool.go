@@ -49,6 +49,7 @@ var (
 	wordPool   slicePool[uint64]
 	intPool    slicePool[int]
 	statePool  slicePool[uint8]
+	winPool    slicePool[window]
 	readOpPool sync.Pool // *ReadOp
 )
 

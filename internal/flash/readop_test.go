@@ -111,7 +111,7 @@ func TestReadOpMatchesReference(t *testing.T) {
 				}
 				for _, readSeed := range []uint64{0, 42, 1 << 50} {
 					op := c.BeginRead(0, 1, readSeed)
-					vths := append([]float64(nil), op.vth...)
+					vths := refVthAll(c, 0, 1, readSeed)
 					states := c.States(0, 1)
 
 					for v := 1; v <= nv; v++ {

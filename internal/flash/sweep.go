@@ -23,17 +23,32 @@ func (c *Chip) SweepVoltageErrors(b, wl, v int, offs []float64, readSeed uint64)
 // SweepVoltageErrors is the ReadOp form of Chip.SweepVoltageErrors,
 // sharing the handle's threshold-voltage vector.
 func (op *ReadOp) SweepVoltageErrors(v int, offs []float64) (ups, downs []int) {
-	return sweepOne(op.c.model.DefaultReadVoltage(v), op.vth, op.states, v, offs)
+	return sweepOne(op, op.c.model.DefaultReadVoltage(v), v, offs)
 }
 
-// sweepOne classifies one boundary across an ascending offset grid given
-// precomputed per-cell threshold voltages. It is the per-voltage
-// reference kernel; sweepMulti must agree with it bit for bit.
-func sweepOne(base float64, vths []float64, states []uint8, v int, offs []float64) (ups, downs []int) {
+// sweepOne classifies one boundary across an ascending offset grid from
+// a read's threshold voltages. It is the per-voltage reference kernel;
+// sweepMulti must agree with it bit for bit. A grid holding NaN makes
+// the read exact first: its thresholds have no windows.
+func sweepOne(op *ReadOp, base float64, v int, offs []float64) (ups, downs []int) {
 	if !sort.Float64sAreSorted(offs) {
 		panic("flash: sweep offsets must ascend")
 	}
+	if offsHaveNaN(offs) {
+		op.exactAll()
+	}
 	n := len(offs)
+	// Offset k catches exactly the cells at or above its threshold
+	// sweepThreshold(offs[k], base); a cell outside the windows of the
+	// two thresholds around it keeps its bucket when refined.
+	var wins []window
+	if op.margin > 0 {
+		wins = winPool.get(n)
+		defer winPool.put(wins)
+		for k, off := range offs {
+			wins[k] = op.window(sweepThreshold(off, base))
+		}
+	}
 	ups = make([]int, n)
 	downs = make([]int, n)
 	// For a cell truly below the boundary (state <= v-1), an up error
@@ -42,15 +57,12 @@ func sweepOne(base float64, vths []float64, states []uint8, v int, offs []float6
 	// iff x > rel. Bucket cells by ub = #offsets <= rel, then prefix-sum.
 	upAt := make([]int, n+1)
 	downAt := make([]int, n+1)
-	for i, vth := range vths {
-		rel := vth - base
-		ub := sort.SearchFloat64s(offs, rel)
-		// SearchFloat64s returns the first index with offs[i] >= rel; we
-		// need #offsets <= rel, so advance over equal values.
-		for ub < n && offs[ub] <= rel {
-			ub++
+	for i, vth := range op.vth {
+		ub := offsetsAtMost(offs, vth-base)
+		if wins != nil && !settled(wins, ub, vth) {
+			ub = offsetsAtMost(offs, op.refine(i)-base)
 		}
-		if int(states[i]) <= v-1 {
+		if int(op.states[i]) <= v-1 {
 			upAt[ub]++
 		} else {
 			downAt[ub]++
@@ -108,7 +120,7 @@ func (op *ReadOp) SweepAllVoltages(offs []float64) [][]int {
 	for v := 1; v <= nv; v++ {
 		bases[v-1] = op.c.model.DefaultReadVoltage(v)
 	}
-	ups, downs := sweepMulti(bases, op.vth, op.states, op.c.coding.States(), offs)
+	ups, downs := sweepMulti(op, bases, op.c.coding.States(), offs)
 	for v := range out {
 		row := make([]int, len(offs))
 		for i := range row {
@@ -117,6 +129,17 @@ func (op *ReadOp) SweepAllVoltages(offs []float64) [][]int {
 		out[v] = row
 	}
 	return out
+}
+
+// offsetsAtMost returns #offsets <= rel in an ascending grid.
+func offsetsAtMost(offs []float64, rel float64) int {
+	ub := sort.SearchFloat64s(offs, rel)
+	// SearchFloat64s returns the first index with offs[i] >= rel; advance
+	// over values equal to rel.
+	for ub < len(offs) && offs[ub] <= rel {
+		ub++
+	}
+	return ub
 }
 
 func offsHaveNaN(offs []float64) bool {
@@ -153,10 +176,10 @@ func sweepThreshold(off, base float64) float64 {
 }
 
 // sweepMulti is the one-pass multi-boundary sweep: it buckets every cell
-// across the full (voltage, offset) grid in a single scan and returns,
-// per voltage (0-based index v = voltage-1), the same ups/downs vectors
-// sweepOne would produce for voltage v+1 — bit-identical, for finite
-// ascending offs and states < nstates.
+// of a read across the full (voltage, offset) grid in a single scan and
+// returns, per voltage (0-based index v = voltage-1), the same ups/downs
+// vectors sweepOne would produce for voltage v+1 — bit-identical, for
+// NaN-free ascending offs and states < nstates.
 //
 // Method: each (voltage v, offset k) pair owns the exact threshold
 // T[v][k] = sweepThreshold(offs[k], bases[v]); cell i satisfies pair
@@ -164,8 +187,11 @@ func sweepThreshold(off, base float64) float64 {
 // into one sorted grid, each cell is placed in the grid with a single
 // upper-bound search, counts are histogrammed by (state, grid bin), and
 // a two-pointer pass per voltage converts grid bins back into per-voltage
-// offset counts. The final prefix/suffix sums match sweepOne exactly.
-func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float64) (ups, downs [][]int) {
+// offset counts. The final prefix/suffix sums match sweepOne exactly. A
+// cell is placed by its stored value and refined only when that value
+// lies in the window of merged[bin-1] or merged[bin], the thresholds
+// around its bin.
+func sweepMulti(op *ReadOp, bases []float64, nstates int, offs []float64) (ups, downs [][]int) {
 	if !sort.Float64sAreSorted(offs) {
 		panic("flash: sweep offsets must ascend")
 	}
@@ -181,6 +207,13 @@ func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float
 	merged := vthPool.get(m)
 	copy(merged, thr)
 	sort.Float64s(merged)
+	var wins []window
+	if op.margin > 0 {
+		wins = winPool.get(m)
+		for b, t := range merged {
+			wins[b] = op.window(t)
+		}
+	}
 	// mapv[v*(m+1)+b] = #{k : T[v][k] <= merged[b-1]} — how many of
 	// voltage v's offsets a cell in grid bin b satisfies. Since every
 	// T[v][k] is itself a merged value, T[v][k] <= vth iff
@@ -234,7 +267,7 @@ func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float
 		for k := 1; k <= nb; k++ {
 			start[k] += start[k-1]
 		}
-		for i, vth := range vths {
+		for i, vth := range op.vth {
 			bin := m
 			switch {
 			case vth != vth: // NaN: past every threshold
@@ -251,17 +284,23 @@ func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float
 				}
 				bin = j
 			}
-			hist[int(states[i])*(m+1)+bin]++
+			if wins != nil && !settled(wins, bin, vth) {
+				bin = mergedBin(merged, op.refine(i))
+			}
+			hist[int(op.states[i])*(m+1)+bin]++
 		}
 		intPool.put(start)
 	} else {
-		for i, vth := range vths {
-			bin := m
-			if vth == vth {
-				bin = mathx.UpperBound(merged, vth)
+		for i, vth := range op.vth {
+			bin := mergedBin(merged, vth)
+			if wins != nil && !settled(wins, bin, vth) {
+				bin = mergedBin(merged, op.refine(i))
 			}
-			hist[int(states[i])*(m+1)+bin]++
+			hist[int(op.states[i])*(m+1)+bin]++
 		}
+	}
+	if wins != nil {
+		winPool.put(wins)
 	}
 	// Aggregate: for each voltage, fold the (state, bin) histogram into
 	// the upAt/downAt buckets sweepOne builds, then prefix/suffix-sum
@@ -308,4 +347,13 @@ func sweepMulti(bases, vths []float64, states []uint8, nstates int, offs []float
 	vthPool.put(merged)
 	vthPool.put(thr)
 	return ups, downs
+}
+
+// mergedBin is a cell's bin in the merged threshold grid: #{merged <=
+// vth}, with NaN past every threshold.
+func mergedBin(merged []float64, vth float64) int {
+	if vth != vth {
+		return len(merged)
+	}
+	return mathx.UpperBound(merged, vth)
 }

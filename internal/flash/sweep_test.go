@@ -92,9 +92,10 @@ func TestSweepPanicsOnUnsortedOffsets(t *testing.T) {
 
 func crossCheckSweep(t *testing.T, bases, vths []float64, states []uint8, nstates int, offs []float64) {
 	t.Helper()
-	mups, mdowns := sweepMulti(bases, vths, states, nstates, offs)
+	op := &ReadOp{vth: vths, states: states} // exact: margin 0
+	mups, mdowns := sweepMulti(op, bases, nstates, offs)
 	for v := range bases {
-		u, d := sweepOne(bases[v], vths, states, v+1, offs)
+		u, d := sweepOne(op, bases[v], v+1, offs)
 		for i := range offs {
 			if u[i] != mups[v][i] || d[i] != mdowns[v][i] {
 				t.Fatalf("voltage %d offset %v: sweepMulti (%d,%d) != sweepOne (%d,%d)\nbases=%v\noffs=%v",

@@ -99,3 +99,61 @@ func TestUniformFromHashRange(t *testing.T) {
 		}
 	}
 }
+
+// gaussFirstErr is |GaussFromHashFirst(h) - GaussFromHash(h)|, checked
+// for finiteness and against GaussMaxAbs along the way.
+func gaussFirstErr(t testing.TB, h uint64) float64 {
+	exact, first := GaussFromHash(h), GaussFromHashFirst(h)
+	if h>>11 == 1<<53-1 { // the uniform rounds to 1
+		if !math.IsInf(exact, 1) || !math.IsNaN(first) {
+			t.Fatalf("top uniform: exact %v, first %v; want +Inf, NaN", exact, first)
+		}
+		return 0
+	}
+	if math.IsNaN(first) || math.Abs(exact) > GaussMaxAbs || math.Abs(first) > GaussMaxAbs {
+		t.Fatalf("h=%#x: exact %v, first %v outside ±GaussMaxAbs", h, exact, first)
+	}
+	return math.Abs(first - exact)
+}
+
+// TestGaussFirstBound holds the first stage to GaussFirstMaxErr where
+// the rational approximation is worst: exhaustively over the 2^20 most
+// extreme hashed uniforms at each tail, then over a geometric sweep of
+// the full range on both sides (which crosses the central/tail seam).
+func TestGaussFirstBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("exhaustive tail sweep")
+	}
+	const tail = 1 << 20
+	var worst float64
+	check := func(k uint64) { // k = h>>11, the 53-bit uniform index
+		for _, h := range []uint64{k << 11, (1<<53 - 1 - k) << 11} {
+			if e := gaussFirstErr(t, h); e > worst {
+				worst = e
+			}
+		}
+	}
+	for k := uint64(0); k < tail; k++ {
+		check(k)
+	}
+	for x := float64(tail); x < 1<<53; x *= 1.0001 {
+		check(uint64(x))
+	}
+	if worst > GaussFirstMaxErr {
+		t.Fatalf("first-stage error %v exceeds GaussFirstMaxErr %v", worst, GaussFirstMaxErr)
+	}
+	t.Logf("worst first-stage error %.3g", worst)
+}
+
+// FuzzGaussFirstBound holds the first stage to GaussFirstMaxErr on
+// arbitrary hashes.
+func FuzzGaussFirstBound(f *testing.F) {
+	for _, h := range []uint64{0, 1 << 11, 1 << 63, ^uint64(0), 0x9e3779b97f4a7c15} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h uint64) {
+		if e := gaussFirstErr(t, h); e > GaussFirstMaxErr {
+			t.Fatalf("h=%#x: first-stage error %v exceeds %v", h, e, GaussFirstMaxErr)
+		}
+	})
+}

@@ -28,6 +28,10 @@ func TestNoiseStreamMatchesReadNoise(t *testing.T) {
 					t.Fatalf("seed %d readSeed %d cell %d: NoiseStream %v != ReadNoise %v",
 						seed, readSeed, cell, got, want)
 				}
+				if d := math.Abs(ns.AtFirst(cell) - want); d > ns.FirstMaxErr() {
+					t.Fatalf("seed %d readSeed %d cell %d: AtFirst off by %v > %v",
+						seed, readSeed, cell, d, ns.FirstMaxErr())
+				}
 			}
 		}
 	}
@@ -38,23 +42,29 @@ func TestNoiseStreamMatchesReadNoise(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Noise(9).At(5); got != 0 {
-		t.Fatalf("zero-sigma NoiseStream.At = %v, want 0", got)
+	if ns := m.Noise(9); ns.At(5) != 0 || ns.AtFirst(5) != 0 || ns.FirstMaxErr() != 0 {
+		t.Fatalf("zero-sigma NoiseStream: At %v, AtFirst %v, FirstMaxErr %v; want 0",
+			ns.At(5), ns.AtFirst(5), ns.FirstMaxErr())
 	}
 }
 
-func TestFillCellZMatchesCellZ(t *testing.T) {
+// TestZStreamMatchesCellZ: the hoisted stream reproduces CellZ exactly,
+// and its first stage stays within ZFirstMaxErr of it.
+func TestZStreamMatchesCellZ(t *testing.T) {
 	for _, mk := range []func() Params{TLC, QLC} {
 		m := fillTestModel(t, mk, 11)
-		dst := make([]float32, 301)
 		for _, g := range []uint64{0, 5, 999} {
 			for _, epoch := range []uint64{1, 2} {
-				m.FillCellZ(g, epoch, dst)
-				for i := range dst {
-					want := float32(m.CellZ(g, i, epoch))
-					if dst[i] != want {
-						t.Fatalf("wl %d epoch %d cell %d: FillCellZ %v != CellZ %v",
-							g, epoch, i, dst[i], want)
+				zs := m.CellZStream(g, epoch)
+				for i := 0; i < 301; i++ {
+					want := m.CellZ(g, i, epoch)
+					if got := zs.At(i); got != want {
+						t.Fatalf("wl %d epoch %d cell %d: ZStream.At %v != CellZ %v",
+							g, epoch, i, got, want)
+					}
+					if d := math.Abs(zs.AtFirst(i) - want); d > m.ZFirstMaxErr() {
+						t.Fatalf("wl %d epoch %d cell %d: AtFirst off by %v > %v",
+							g, epoch, i, d, m.ZFirstMaxErr())
 					}
 				}
 			}
@@ -62,24 +72,34 @@ func TestFillCellZMatchesCellZ(t *testing.T) {
 	}
 }
 
-func TestFillVthMatchesCellVth(t *testing.T) {
+// TestFillCellZQWithinBound: every quantized first-stage offset decodes
+// to within ZQuantMaxErr of the float32 offset the exact read uses, and the
+// default models quantize at 2^-10.
+func TestFillCellZQWithinBound(t *testing.T) {
 	for _, mk := range []func() Params{TLC, QLC} {
 		m := fillTestModel(t, mk, 13)
-		n := 283
-		states := make([]uint8, n)
-		for i := range states {
-			states[i] = uint8(i % m.P.States())
+		if q := m.ZQuantum(); q != 0x1p-10 {
+			t.Fatalf("ZQuantum %v, want 2^-10", q)
 		}
-		st := Stress{PECycles: 3000}
-		st = st.Aged(m.P, 1000, RoomTempC)
-		env := m.Env(2, 77, st)
-		dst := make([]float64, n)
-		m.FillVth(env, 77, states, 4, 0xabc, dst)
-		for i := range dst {
-			want := m.CellVth(env, 77, i, n, int(states[i]), 4, 0xabc)
-			if dst[i] != want || math.IsNaN(dst[i]) {
-				t.Fatalf("cell %d: FillVth %v != CellVth %v", i, dst[i], want)
+		if m.ZMaxAbs()/m.ZQuantum() > math.MaxInt16 {
+			t.Fatalf("ZMaxAbs %v overflows int16 at quantum %v", m.ZMaxAbs(), m.ZQuantum())
+		}
+		dst := make([]int16, 20000)
+		var worst float64
+		for _, g := range []uint64{3, 77} {
+			m.FillCellZQ(g, 4, dst)
+			for i, q := range dst {
+				if q == ZQuantNaN {
+					t.Fatalf("cell %d: finite offset stored as ZQuantNaN", i)
+				}
+				want := float64(float32(m.CellZ(g, i, 4)))
+				if d := math.Abs(float64(q)*m.ZQuantum() - want); d > worst {
+					worst = d
+				}
 			}
+		}
+		if worst > m.ZQuantMaxErr() {
+			t.Fatalf("quantized offset off by %v > ZQuantMaxErr %v", worst, m.ZQuantMaxErr())
 		}
 	}
 }

@@ -155,12 +155,103 @@ func (m *Model) BaseSigma(s int) float64 {
 // consistent; reprogramming (new epoch) redraws it. A TailFrac fraction of
 // cells draw from a TailMult-times-wider distribution (heavy tails).
 func (m *Model) CellZ(globalWL uint64, cell int, epoch uint64) float64 {
-	h := mathx.Mix4(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch), uint64(cell))
-	z := mathx.GaussFromHash(h)
-	if m.P.TailFrac > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < m.P.TailFrac {
-		z *= m.P.TailMult
+	return m.CellZStream(globalWL, epoch).At(cell)
+}
+
+// ZStream is the hash stream of one wordline program epoch's frozen
+// program offsets, with the per-(wordline, epoch) hash setup hoisted out
+// of the per-cell evaluation. At returns exactly CellZ's value.
+type ZStream struct {
+	base   uint64
+	tf, tm float64
+}
+
+// CellZStream opens the program-offset stream of one wordline epoch.
+func (m *Model) CellZStream(globalWL, epoch uint64) ZStream {
+	return ZStream{
+		base: mathx.Mix3(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch)),
+		tf:   m.P.TailFrac,
+		tm:   m.P.TailMult,
+	}
+}
+
+// At returns the program offset of one cell; bit-identical to CellZ.
+func (zs ZStream) At(cell int) float64 {
+	h := mathx.Mix(zs.base, uint64(cell))
+	return zs.tail(h, mathx.GaussFromHash(h))
+}
+
+// AtFirst is At through mathx.GaussFromHashFirst: within FirstMaxErr of
+// At, at a fraction of the cost. The tail decision is the same hash draw
+// as At's.
+func (zs ZStream) AtFirst(cell int) float64 {
+	h := mathx.Mix(zs.base, uint64(cell))
+	return zs.tail(h, mathx.GaussFromHashFirst(h))
+}
+
+func (zs ZStream) tail(h uint64, z float64) float64 {
+	if zs.tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < zs.tf {
+		z *= zs.tm
 	}
 	return z
+}
+
+// tailMult bounds the magnitude of the factor At applies to a standard
+// normal.
+func (m *Model) tailMult() float64 {
+	if m.P.TailFrac > 0 {
+		return max(1, math.Abs(m.P.TailMult))
+	}
+	return 1
+}
+
+// ZMaxAbs bounds |At| and |AtFirst| of every program-offset stream of the
+// model (up to the rounding of the tail product).
+func (m *Model) ZMaxAbs() float64 { return mathx.GaussMaxAbs * m.tailMult() }
+
+// ZFirstMaxErr bounds |AtFirst - At| on every program-offset stream of
+// the model (up to the rounding of the tail product).
+func (m *Model) ZFirstMaxErr() float64 { return mathx.GaussFirstMaxErr * m.tailMult() }
+
+// ZQuantNaN is the quantized program offset FillCellZQ stores for a
+// first-stage offset no int16 can hold (only a non-finite one); it
+// decodes to NaN, which no comparison can decide.
+const ZQuantNaN = math.MinInt16
+
+// ZQuantum returns the step at which FillCellZQ quantizes program
+// offsets: the smallest power of two at which ZMaxAbs fits in an int16
+// (2^-10 for the TLC and QLC defaults). A power of two keeps the scaling
+// itself exact.
+func (m *Model) ZQuantum() float64 {
+	q := math.Ldexp(1, -30)
+	for m.ZMaxAbs()/q > math.MaxInt16 {
+		q *= 2
+	}
+	return q
+}
+
+// ZQuantMaxErr bounds |float64(q)*ZQuantum() - float64(float32(CellZ))|
+// for every q FillCellZQ stores other than ZQuantNaN: half a quantum,
+// plus the first stage's error, plus float32's rounding of CellZ.
+func (m *Model) ZQuantMaxErr() float64 {
+	return m.ZQuantum()/2 + m.ZFirstMaxErr() + m.ZMaxAbs()*0x1p-23
+}
+
+// FillCellZQ writes the quantized first-stage program offset of every
+// cell of a wordline program epoch into dst: dst[i] is
+// CellZStream(globalWL, epoch).AtFirst(i) in units of ZQuantum, rounded
+// to the nearest integer (ZQuantNaN when it does not fit).
+func (m *Model) FillCellZQ(globalWL, epoch uint64, dst []int16) {
+	zs := m.CellZStream(globalWL, epoch)
+	inv := 1 / m.ZQuantum()
+	for i := range dst {
+		r := math.Round(zs.AtFirst(i) * inv)
+		if !(math.Abs(r) <= math.MaxInt16) {
+			dst[i] = ZQuantNaN
+			continue
+		}
+		dst[i] = int16(r)
+	}
 }
 
 // ReadNoise returns the per-read sensing noise of one cell for a given
@@ -199,49 +290,20 @@ func (ns NoiseStream) At(cell int) float64 {
 	return ns.sigma * mathx.GaussFromHash(mathx.Mix(ns.base, uint64(cell)))
 }
 
-// FillCellZ writes the frozen program offset of every cell of a wordline
-// program epoch into dst, as float32 (the chip's zcache precision). Each
-// entry is bit-identical to float32(CellZ(globalWL, cell, epoch)); only
-// the per-(wordline, epoch) hash setup is hoisted out of the loop.
-func (m *Model) FillCellZ(globalWL, epoch uint64, dst []float32) {
-	base := mathx.Mix3(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch))
-	tf, tm := m.P.TailFrac, m.P.TailMult
-	for i := range dst {
-		h := mathx.Mix(base, uint64(i))
-		z := mathx.GaussFromHash(h)
-		if tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < tf {
-			z *= tm
-		}
-		dst[i] = float32(z)
+// AtFirst is At through mathx.GaussFromHashFirst: within FirstMaxErr of
+// At (up to the rounding of the product).
+func (ns NoiseStream) AtFirst(cell int) float64 {
+	if ns.sigma == 0 {
+		return 0
 	}
+	return ns.sigma * mathx.GaussFromHashFirst(mathx.Mix(ns.base, uint64(cell)))
 }
 
-// FillVth writes the threshold voltage of every cell of one read
-// operation into dst (the hash-path analogue of the chip's zcache read).
-// dst[i] is bit-identical to CellVth(env, globalWL, i, len(dst),
-// states[i], epoch, readSeed): the same hash draws, the same
-// floating-point summation order, only the per-read stream setup hoisted
-// out of the loop.
-func (m *Model) FillVth(env WLEnv, globalWL uint64, states []uint8, epoch, readSeed uint64, dst []float64) {
-	zbase := mathx.Mix3(m.Seed, dsCellZ, mathx.Mix(globalWL, epoch))
-	tf, tm := m.P.TailFrac, m.P.TailMult
-	ns := m.Noise(readSeed)
-	nf := float64(len(dst))
-	for i := range dst {
-		s := int(states[i])
-		pos := (float64(i)+0.5)/nf - 0.5
-		var grad float64
-		if s > 0 {
-			grad = env.Gradient * pos
-		}
-		h := mathx.Mix(zbase, uint64(i))
-		z := mathx.GaussFromHash(h)
-		if tf > 0 && mathx.UniformFromHash(mathx.Hash64(h^dsCellTail)) < tf {
-			z *= tm
-		}
-		dst[i] = env.Mean[s] + grad + env.Sigma[s]*z + ns.At(i)
-	}
-}
+// MaxAbs bounds |At| and |AtFirst|: |sigma| * mathx.GaussMaxAbs.
+func (ns NoiseStream) MaxAbs() float64 { return math.Abs(ns.sigma) * mathx.GaussMaxAbs }
+
+// FirstMaxErr bounds |AtFirst - At|: |sigma| * mathx.GaussFirstMaxErr.
+func (ns NoiseStream) FirstMaxErr() float64 { return math.Abs(ns.sigma) * mathx.GaussFirstMaxErr }
 
 // readDisturbShift is the upward creep of low states after many reads.
 // Negligible below ~1e6 reads, matching the paper's measurement.

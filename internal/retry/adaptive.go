@@ -53,13 +53,13 @@ type historySession struct {
 func (s *historySession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
 	nv := s.env.Coding().NumVoltages()
 	if k == 0 {
-		if ofs, ok := s.p.Cache.Get(s.env.B); ok {
+		if ofs, ok := s.p.Cache.lookup(s.env.B); ok {
 			s.env.met.cacheHit()
 			s.base = ofs
 			return ofs, true
 		}
 		s.env.met.cacheMiss()
-		return flash.ZeroOffsets(nv), true
+		return zeroRow(nv), true
 	}
 	// Resume the vendor walk from the cached point rather than from
 	// factory defaults: entry k is applied relative to the base.
@@ -113,7 +113,7 @@ type ar2Session struct {
 }
 
 func (s ar2Session) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	return s.p.Entry(k, s.nv), true
+	return s.p.row(k, s.nv), true
 }
 
 // Pipelined implements PipelinedSession.
@@ -145,7 +145,7 @@ func (p *SentinelHistoryPolicy) Name() string { return "sentinel+history" }
 // Session implements Policy.
 func (p *SentinelHistoryPolicy) Session(env *Env) Session {
 	var cached flash.Offsets
-	if ofs, ok := p.Cache.Get(env.B); ok {
+	if ofs, ok := p.Cache.lookup(env.B); ok {
 		env.met.cacheHit()
 		cached = ofs
 	} else {

@@ -94,11 +94,20 @@ type FinishingSession interface {
 	Finish(res *Result)
 }
 
-// Result reports one serviced read.
+// Result reports one serviced read. Callers may keep one per read, so
+// the three flags come first, where they pack into one word.
 type Result struct {
 	// OK is false when the read exhausted its retry budget or could not be
 	// serviced at all (see Err).
 	OK bool
+	// UsedFallback reports that the policy abandoned its primary inference
+	// path and degraded to its fallback (see FallbackPolicy) at some point
+	// during this read.
+	UsedFallback bool
+	// Uncorrectable reports that the read was attempted but ECC never
+	// decoded within the retry budget — the read-path equivalent of a
+	// media error, which an FTL surfaces to the host.
+	Uncorrectable bool
 	// Retries is the number of re-read attempts after the first read.
 	Retries int
 	// AuxSenses is the number of auxiliary one-voltage reads performed
@@ -106,7 +115,10 @@ type Result struct {
 	AuxSenses int
 	// Latency is the total service time in microseconds.
 	Latency float64
-	// FinalOffsets is the offset vector of the last attempt.
+	// FinalOffsets is the offset vector of the last attempt. It is
+	// read-only: it may be shared with other reads (a precomputed
+	// DefaultTablePolicy row, or the offset-history cache's entry);
+	// copy it before modifying.
 	FinalOffsets flash.Offsets
 	// FinalErrors is the raw bit-error count of the last attempt over the
 	// ECC-protected user cells (simulator-side observability).
@@ -116,14 +128,6 @@ type Result struct {
 	// during the previous attempt's ECC decode. Zero for serial
 	// policies.
 	OverlapSavedUS float64
-	// UsedFallback reports that the policy abandoned its primary inference
-	// path and degraded to its fallback (see FallbackPolicy) at some point
-	// during this read.
-	UsedFallback bool
-	// Uncorrectable reports that the read was attempted but ECC never
-	// decoded within the retry budget — the read-path equivalent of a
-	// media error, which an FTL surfaces to the host.
-	Uncorrectable bool
 	// Err is non-nil when the read could not be attempted: the address is
 	// out of range (ErrBadAddress) or the wordline holds no data
 	// (ErrNotProgrammed). Retries/Latency are zero in that case.

@@ -152,7 +152,7 @@ func (s *fallbackSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 	if s.degraded {
 		// The controller's retry budget terminates the walk, exactly as
 		// for a pure tableSession.
-		return s.p.Table.Entry(k, nv), true
+		return s.p.Table.row(k, nv), true
 	}
 	ofs, ok := s.sentinel.NextOffsets(k, prior, priorOfs)
 	if !ok {
@@ -160,7 +160,7 @@ func (s *fallbackSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 	}
 	if k >= 1 && !s.plausible(k) {
 		s.degraded = true
-		return s.p.Table.Entry(k, nv), true
+		return s.p.Table.row(k, nv), true
 	}
 	return ofs, true
 }

@@ -133,6 +133,15 @@ func (c *HistCache) Len() int {
 // Get returns a copy of block's last-known-good offsets, marking the
 // entry recently used. The caller owns the returned vector.
 func (c *HistCache) Get(block int) (flash.Offsets, bool) {
+	ofs, ok := c.lookup(block)
+	return ofs.Clone(), ok
+}
+
+// lookup is Get without the copy, for the read sessions: the vector is
+// the cache's own and read-only (Put stores a fresh vector and never
+// writes an old one), so a read can apply it, and report it as
+// Result.FinalOffsets, without allocating.
+func (c *HistCache) lookup(block int) (flash.Offsets, bool) {
 	if block < 0 {
 		c.misses.Add(1)
 		return nil, false
@@ -146,7 +155,7 @@ func (c *HistCache) Get(block int) (flash.Offsets, bool) {
 		return nil, false
 	}
 	s.entries[i].ref = true
-	ofs := s.entries[i].ofs.Clone()
+	ofs := s.entries[i].ofs
 	s.mu.Unlock()
 	c.hits.Add(1)
 	return ofs, true

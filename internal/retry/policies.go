@@ -17,12 +17,22 @@ import (
 // shape profile (vendors pre-characterize the typical retention-shift
 // profile of the technology). The first attempt (k=0) uses factory
 // defaults.
+//
+// NewDefaultTable precomputes the first tableRows entries, which
+// sessions hand out shared and read-only; set Step and Shape only
+// through NewDefaultTable (a literal policy computes every entry afresh).
 type DefaultTablePolicy struct {
 	// Step is the sentinel-voltage-equivalent step per table entry.
 	Step float64
 	// Shape scales the step per voltage (index v-1); nil means uniform.
 	Shape []float64
+
+	rows []flash.Offsets // rows[k] = Entry(k, len(Shape)), shared read-only
 }
+
+// tableRows is how many entries NewDefaultTable precomputes: well past
+// any retry budget in use (vendor tables hold a few dozen entries).
+const tableRows = 64
 
 // NewDefaultTable builds the baseline for a chip, deriving the shape
 // profile from the technology's typical shift pattern (larger steps for
@@ -47,7 +57,12 @@ func NewDefaultTable(chip *flash.Chip, step float64) *DefaultTablePolicy {
 	for v := 1; v <= coding.NumVoltages(); v++ {
 		shape[v-1] = weight(v) / weight(sv)
 	}
-	return &DefaultTablePolicy{Step: step, Shape: shape}
+	table := &DefaultTablePolicy{Step: step, Shape: shape}
+	table.rows = make([]flash.Offsets, tableRows)
+	for k := range table.rows {
+		table.rows[k] = table.Entry(k, len(shape))
+	}
+	return table
 }
 
 // Name implements Policy.
@@ -63,7 +78,8 @@ type tableSession struct {
 	nv int
 }
 
-// Entry returns table entry k (k=0 is factory defaults).
+// Entry returns a fresh copy of table entry k (k=0 is factory defaults),
+// which the caller may modify.
 func (p *DefaultTablePolicy) Entry(k, nv int) flash.Offsets {
 	ofs := flash.ZeroOffsets(nv)
 	if k == 0 {
@@ -79,8 +95,34 @@ func (p *DefaultTablePolicy) Entry(k, nv int) flash.Offsets {
 	return ofs
 }
 
+// row returns table entry k read-only: the precomputed row when there is
+// one, otherwise a fresh Entry.
+func (p *DefaultTablePolicy) row(k, nv int) flash.Offsets {
+	if k < len(p.rows) && len(p.rows[k]) == nv {
+		return p.rows[k]
+	}
+	return p.Entry(k, nv)
+}
+
+// zeroRows[nv] is a shared read-only all-zero vector for nv voltages,
+// the factory defaults every k=0 attempt without better offsets uses.
+var zeroRows = func() (rows [16]flash.Offsets) {
+	for nv := range rows {
+		rows[nv] = make(flash.Offsets, nv)
+	}
+	return rows
+}()
+
+// zeroRow returns factory-default offsets for nv voltages, read-only.
+func zeroRow(nv int) flash.Offsets {
+	if nv < len(zeroRows) {
+		return zeroRows[nv]
+	}
+	return flash.ZeroOffsets(nv)
+}
+
 func (s tableSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	return s.p.Entry(k, s.nv), true
+	return s.p.row(k, s.nv), true
 }
 
 // ---------------------------------------------------------------------------
@@ -146,10 +188,10 @@ func (s *trackingSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (f
 		if t := s.p.Tracked(s.env.B); t != nil {
 			return t, true
 		}
-		return flash.ZeroOffsets(nv), true
+		return zeroRow(nv), true
 	}
 	// Fall back to the static table beyond the tracked point.
-	return s.p.Fallback.Entry(k, nv), true
+	return s.p.Fallback.row(k, nv), true
 }
 
 // ---------------------------------------------------------------------------
@@ -265,7 +307,7 @@ func (s *sentinelSession) NextOffsets(k int, prior flash.Bitmap, priorOfs flash.
 	nv := s.env.Coding().NumVoltages()
 	switch {
 	case k == 0:
-		return flash.ZeroOffsets(nv), true
+		return zeroRow(nv), true
 	case k == 1:
 		// Measure the error difference at the default sentinel voltage.
 		if s.env.Page == flash.PageLSB {

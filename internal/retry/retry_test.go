@@ -372,3 +372,40 @@ func TestPolicyNames(t *testing.T) {
 		t.Fatal("sentinel name")
 	}
 }
+
+// TestTableReadAllocs: on a warm controller a table-policy read that
+// walks the table allocates only its per-read session state; the offset
+// rows it applies are shared, and its buffers are pooled.
+func TestTableReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; alloc counts are meaningless")
+	}
+	chip := flash.MustNew(testCfg(flash.TLC))
+	rng := mathx.NewRand(3)
+	for wl := 0; wl < 4; wl++ {
+		if err := chip.ProgramRandom(0, wl, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	chip.Cycle(0, 5000)
+	chip.Age(0, physics.YearHours, physics.RoomTempC)
+	ctl, err := NewController(chip, ecc.DefaultCapability(), DefaultLatency(), 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := NewDefaultTable(chip, 2)
+	msb := chip.Coding().Bits() - 1
+	var seed uint64
+	retries := 0
+	read := func() {
+		seed++
+		retries += ctl.Read(0, int(seed%4), msb, table, seed).Retries
+	}
+	read()
+	if a := testing.AllocsPerRun(20, read); a > 5 {
+		t.Errorf("table-policy Read allocates %.1f/op on a warm controller, want <= 5", a)
+	}
+	if retries == 0 {
+		t.Fatal("no read retried: the table walk went unexercised")
+	}
+}

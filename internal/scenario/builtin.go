@@ -596,7 +596,7 @@ func runCharlab(ctx *Ctx) (*Outcome, error) {
 	scale := ctx.Scale
 	seed := ctx.Seed
 	cfg := scale.ChipConfig(kind, seed)
-	chip, err := flash.New(cfg)
+	chip, err := scale.NewChip(cfg)
 	if err != nil {
 		return nil, err
 	}
