@@ -427,15 +427,3 @@ func (cc *CorrelationCollector) Fit() []VoltageCorrelation {
 	}
 	return out
 }
-
-// CollectCorrelations sweeps the given wordlines of block b at the current
-// stress state and fits the per-voltage optimum against the sentinel
-// voltage's optimum. For the paper's methodology (multiple stress
-// points), use CorrelationCollector directly.
-func (l *Lab) CollectCorrelations(b int, wls []int) ([]VoltageCorrelation, error) {
-	cc := NewCorrelationCollector(l.Chip.Coding())
-	if err := cc.Add(l, b, wls); err != nil {
-		return nil, err
-	}
-	return cc.Fit(), nil
-}

@@ -230,11 +230,11 @@ func TestCollectCorrelationsLinearAcrossStress(t *testing.T) {
 
 func TestCollectCorrelationsSingleStress(t *testing.T) {
 	c := smallChip(t, flash.QLC, 1000, physics.YearHours)
-	l := New(c)
-	cors, err := l.CollectCorrelations(0, []int{0, 1, 2, 3, 4, 5, 6, 7})
-	if err != nil {
+	cc := NewCorrelationCollector(c.Coding())
+	if err := cc.Add(New(c), 0, []int{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
+	cors := cc.Fit()
 	if len(cors) != 15 {
 		t.Fatalf("got %d correlations", len(cors))
 	}
@@ -250,8 +250,11 @@ func TestCollectCorrelationsUnprogrammed(t *testing.T) {
 		Kind: flash.QLC, Blocks: 1, Layers: 4, WordlinesPerLayer: 1,
 		CellsPerWordline: 1024, Seed: 1, CacheZ: true,
 	})
-	l := New(c)
-	if _, err := l.CollectCorrelations(0, []int{0}); err == nil {
+	cc := NewCorrelationCollector(c.Coding())
+	if err := cc.Add(New(c), 0, []int{0}); err == nil {
 		t.Fatal("expected error for unprogrammed wordline")
+	}
+	if cc.Len() != 0 {
+		t.Fatalf("failed Add recorded %d optima", cc.Len())
 	}
 }

@@ -37,12 +37,6 @@ func (m CapabilityModel) Validate() error {
 	return nil
 }
 
-// Frames returns how many frames cover userBits data bits (the last frame
-// may be short).
-func (m CapabilityModel) Frames(userBits int) int {
-	return (userBits + m.FrameBits - 1) / m.FrameBits
-}
-
 // DecodePage reports whether every frame of a page decodes, given the
 // per-cell error bitmap of a page read (bit i set = cell i's page bit was
 // misread) over the first userBits cells.
@@ -57,21 +51,6 @@ func (m CapabilityModel) DecodePage(errs flash.Bitmap, userBits int) bool {
 		}
 	}
 	return true
-}
-
-// WorstFrameErrors returns the highest per-frame error count on the page.
-func (m CapabilityModel) WorstFrameErrors(errs flash.Bitmap, userBits int) int {
-	worst := 0
-	for start := 0; start < userBits; start += m.FrameBits {
-		end := start + m.FrameBits
-		if end > userBits {
-			end = userBits
-		}
-		if n := m.countRange(errs, start, end); n > worst {
-			worst = n
-		}
-	}
-	return worst
 }
 
 func (m CapabilityModel) countRange(errs flash.Bitmap, start, end int) int {

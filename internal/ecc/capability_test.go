@@ -22,13 +22,27 @@ func TestCapabilityValidate(t *testing.T) {
 }
 
 func TestFrames(t *testing.T) {
-	m := CapabilityModel{FrameBits: 100, T: 5}
-	cases := []struct{ bits, want int }{
-		{1, 1}, {100, 1}, {101, 2}, {250, 3},
+	// DecodePage splits 250 user bits into frames [0,100), [100,200) and
+	// the short [200,250): two errors decode only when they fall in
+	// different frames, and bits past userBits are never counted.
+	m := CapabilityModel{FrameBits: 100, T: 1}
+	cases := []struct {
+		errs []int
+		want bool
+	}{
+		{[]int{99, 100}, true},
+		{[]int{100, 199}, false},
+		{[]int{199, 200}, true},
+		{[]int{200, 249}, false},
+		{[]int{249, 250, 251}, true},
 	}
 	for _, c := range cases {
-		if got := m.Frames(c.bits); got != c.want {
-			t.Errorf("Frames(%d) = %d, want %d", c.bits, got, c.want)
+		errs := flash.NewBitmap(256)
+		for _, i := range c.errs {
+			errs.Set(i, true)
+		}
+		if got := m.DecodePage(errs, 250); got != c.want {
+			t.Errorf("errors at %v: DecodePage = %v, want %v", c.errs, got, c.want)
 		}
 	}
 }
@@ -76,15 +90,17 @@ func TestDecodePagePartialLastFrame(t *testing.T) {
 }
 
 func TestWorstFrameErrors(t *testing.T) {
-	m := CapabilityModel{FrameBits: 64, T: 10}
+	// Frames holding 1, 3 and 1 errors: the page decodes exactly when
+	// the worst frame's 3 errors are within capability.
 	errs := flash.NewBitmap(192)
-	errs.Set(0, true)
-	errs.Set(65, true)
-	errs.Set(66, true)
-	errs.Set(67, true)
-	errs.Set(128, true)
-	if got := m.WorstFrameErrors(errs, 192); got != 3 {
-		t.Fatalf("WorstFrameErrors = %d, want 3", got)
+	for _, i := range []int{0, 65, 66, 67, 128} {
+		errs.Set(i, true)
+	}
+	if !(CapabilityModel{FrameBits: 64, T: 3}).DecodePage(errs, 192) {
+		t.Fatal("worst frame at capability did not decode")
+	}
+	if (CapabilityModel{FrameBits: 64, T: 2}).DecodePage(errs, 192) {
+		t.Fatal("worst frame over capability decoded")
 	}
 }
 

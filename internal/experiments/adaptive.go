@@ -4,11 +4,10 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
+	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
@@ -49,21 +48,6 @@ type AdaptiveResult struct {
 	Violations int
 }
 
-// countingSampler wraps a sampler and accumulates the sensing cost of
-// every draw. One instance serves one single-goroutine Sim.
-type countingSampler struct {
-	inner  ssdsim.RetrySampler
-	reads  int64
-	senses int64
-}
-
-func (c *countingSampler) Sample(pageType int, rng *mathx.Rand) ssdsim.RetryOutcome {
-	out := c.inner.Sample(pageType, rng)
-	c.reads++
-	c.senses += int64(1 + out.Retries + out.AuxSenses)
-	return out
-}
-
 // Adaptive benchmarks the adaptive read stack across the MSR-like trace
 // matrix: the static table and plain sentinel baselines against AR²
 // (pipelined table stepping), the offset-history cache (first shot from
@@ -77,75 +61,23 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 	if requests <= 0 {
 		requests = 6000
 	}
-	model, err := s.TrainModel(flash.TLC, 114)
+	rig, err := s.Rig(flash.TLC, 114, 214, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 214)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 214, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	var wls []int
-	nwl := cfg.WordlinesPerBlock()
-	step := nwl / 16
-	if step < 1 {
-		step = 1
-	}
-	for wl := 0; wl < nwl; wl += step {
-		wls = append(wls, wl)
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	sent := retry.NewSentinelPolicy(eng)
-	newCache := func() (*retry.HistCache, error) {
-		cache, err := retry.NewHistCache(4, 64<<10, chip.Coding().NumVoltages(), eng.OffsetBound())
-		if err != nil {
-			return nil, err
-		}
-		retry.WarmHistCache(cache, chip, eng, []int{0}, wls[0], 0x9157)
-		return cache, nil
-	}
-	histCache, err := newCache()
-	if err != nil {
-		return nil, err
-	}
-	combCache, err := newCache()
-	if err != nil {
-		return nil, err
-	}
-	policies := map[string]retry.Policy{
-		"table":            table,
-		"sentinel":         sent,
-		"ar2":              retry.NewAR2(table),
-		"history":          retry.NewHistoryPolicy(histCache, table, false),
-		"sentinel+history": retry.NewSentinelHistory(combCache, sent, false),
-	}
-	samplers := make(map[string]*ssdsim.EmpiricalSampler, len(policies))
+	wls := rig.spreadWLs()
+	samplers := make([]*ssdsim.EmpiricalSampler, len(adaptivePolicies))
 	for i, name := range adaptivePolicies {
-		sampler, err := ssdsim.BuildSampler(ctl, policies[name], 0, wls, 3, 0xad0+uint64(i))
-		if err != nil {
+		if samplers[i], err = rig.Pool(name, wls, 0xad0+uint64(i)); err != nil {
 			return nil, err
 		}
-		samplers[name] = sampler
 	}
 
 	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	simCfg.Geo = ReplayGeometry()
 	res := &AdaptiveResult{Requests: requests}
-	msb := chip.Coding().Bits() - 1
-	for _, name := range adaptivePolicies {
-		pool := samplers[name]
+	msb := rig.Chip.Coding().Bits() - 1
+	for _, pool := range samplers {
 		res.MSBPoolSenses = append(res.MSBPoolSenses,
 			1+pool.MeanRetries(msb)+meanAux(pool, msb))
 	}
@@ -156,20 +88,9 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		spec := specs[i]
 		spec.WorkingSetPages = int64(simCfg.Geo.PagesTotal()) * 6 / 10
 		spec.MeanIATUS *= 6
-		gen, err := trace.NewGenerator(spec, requests, mathx.Mix(0xada, uint64(len(spec.Name))))
+		reqs, err := trace.Generate(spec, requests, mathx.Mix(0xada, uint64(len(spec.Name))))
 		if err != nil {
 			return nil, err
-		}
-		var reqs []trace.Request
-		for {
-			r, ok, err := gen.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			reqs = append(reqs, r)
 		}
 		// The paced trace measures latency; arrivals dominate its makespan,
 		// so device throughput is measured on a saturated burst (every
@@ -179,10 +100,12 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		for j := range burst {
 			burst[j].ArriveUS = 0
 		}
+		pageReads := readPages(reqs)
 		cells := make([]AdaptiveCell, 0, len(adaptivePolicies))
-		for _, name := range adaptivePolicies {
-			counter := &countingSampler{inner: samplers[name]}
-			sim, err := ssdsim.New(simCfg, counter)
+		for pi, name := range adaptivePolicies {
+			cfg := simCfg
+			cfg.Obs = obs.NewRegistry(1).Set(0)
+			sim, err := ssdsim.New(cfg, samplers[pi])
 			if err != nil {
 				return nil, err
 			}
@@ -194,15 +117,13 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 				return nil, err
 			}
 			cell := AdaptiveCell{
-				Workload:   spec.Name,
-				Policy:     name,
-				MeanReadUS: rep.MeanReadUS,
-				P99ReadUS:  rep.P99ReadUS,
+				Workload:      spec.Name,
+				Policy:        name,
+				SensesPerRead: sensesPerRead(pageReads, rep, cfg.Obs),
+				MeanReadUS:    rep.MeanReadUS,
+				P99ReadUS:     rep.P99ReadUS,
 			}
-			if counter.reads > 0 {
-				cell.SensesPerRead = float64(counter.senses) / float64(counter.reads)
-			}
-			bsim, err := ssdsim.New(simCfg, samplers[name])
+			bsim, err := ssdsim.New(simCfg, samplers[pi])
 			if err != nil {
 				return nil, err
 			}
@@ -233,6 +154,31 @@ func Adaptive(s Scale, requests int) (*AdaptiveResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// readPages counts the page reads a trace issues: every page of every
+// read request.
+func readPages(reqs []trace.Request) int64 {
+	var n int64
+	for _, r := range reqs {
+		if r.Op == trace.Read {
+			n += int64(r.Pages)
+		}
+	}
+	return n
+}
+
+// sensesPerRead is the mean flash sensing operations per mapped page
+// read of a replay that issued pageReads page reads: attempts (1 +
+// retries) plus the auxiliary single-voltage senses counted on the
+// sim's obs set. Unmapped reads never sense.
+func sensesPerRead(pageReads int64, rep *ssdsim.Report, set *obs.Set) float64 {
+	flashReads := pageReads - rep.UnmappedReads
+	if flashReads <= 0 {
+		return 0
+	}
+	aux := set.Counter("ssdsim.aux_senses", "").Value()
+	return float64(flashReads+rep.TotalRetries+aux) / float64(flashReads)
 }
 
 // meanAux returns the mean auxiliary-sense count of page type p's pool.

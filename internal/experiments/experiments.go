@@ -155,18 +155,31 @@ func (s Scale) trainPoints() []sentinel.StressPoint {
 // modelCache memoizes trained models: training is deterministic in
 // (scale, kind, seed) and by far the most expensive setup step shared by
 // the experiments.
-var modelCache sync.Map // string -> *sentinel.Model
+var modelCache sync.Map // string -> *trainedModel
+
+// trainedModel is one modelCache entry; once makes concurrent callers
+// (experiments fan out) wait for a single training run.
+type trainedModel struct {
+	once  sync.Once
+	model *sentinel.Model
+	err   error
+}
 
 // TrainModel characterizes a training chip of the given kind (a separate
 // chip instance "of the same batch", seed trainSeed) and fits the
 // inference model — the paper's manufacturing-time step. Results are
-// memoized per (scale, kind, seed).
+// memoized per (scale, kind, seed); concurrent callers share one run.
 func (s Scale) TrainModel(kind flash.Kind, trainSeed uint64) (*sentinel.Model, error) {
 	key := fmt.Sprintf("%s/%v/%d/%d/%d/%v", s.Name, kind, trainSeed,
 		s.Cells, s.TrainWLs, s.SentinelRatio)
-	if m, ok := modelCache.Load(key); ok {
-		return m.(*sentinel.Model), nil
-	}
+	v, _ := modelCache.LoadOrStore(key, &trainedModel{})
+	e := v.(*trainedModel)
+	e.once.Do(func() { e.model, e.err = s.train(kind, trainSeed) })
+	return e.model, e.err
+}
+
+// train runs TrainModel's characterization without the memo.
+func (s Scale) train(kind flash.Kind, trainSeed uint64) (*sentinel.Model, error) {
 	chip, err := flash.New(s.ChipConfig(kind, trainSeed))
 	if err != nil {
 		return nil, err
@@ -179,12 +192,7 @@ func (s Scale) TrainModel(kind flash.Kind, trainSeed uint64) (*sentinel.Model, e
 		MeasureReads:      2,
 		Seed:              mathx.Mix(trainSeed, 0x7ea1),
 	}
-	m, err := sentinel.Train(chip, tc)
-	if err != nil {
-		return nil, err
-	}
-	modelCache.Store(key, m)
-	return m, nil
+	return sentinel.Train(chip, tc)
 }
 
 // NewChip builds a chip from cfg whose reads report to the scale's

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/flash"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/mathx"
 	"sentinel3d/internal/obs"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/physics"
-	"sentinel3d/internal/retry"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
@@ -132,11 +130,6 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	if requests <= 0 {
 		requests = 6000
 	}
-	model, err := s.TrainModel(flash.TLC, 114)
-	if err != nil {
-		return nil, err
-	}
-
 	// Measure the sampler grid: one aged chip per (age, retention hour)
 	// point, three policy pools per chip. Points fan out; each builds
 	// its own chip from a point-keyed seed, so the grid is a pure
@@ -150,43 +143,14 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	points, err := parallel.MapErr(len(ages)*nHours, func(pi int) (*lifetimeGridPoint, error) {
 		age := ages[pi/nHours]
 		hours := grids[pi/nHours][pi%nHours]
-		seed := mathx.Mix(0x11fe, uint64(pi))
-		cfg := s.ChipConfig(flash.TLC, seed)
-		eng, err := s.Engine(model, cfg)
+		rig, err := s.Rig(flash.TLC, 114, mathx.Mix(0x11fe, uint64(pi)), age.PE, hours)
 		if err != nil {
 			return nil, err
 		}
-		chip, err := s.BuildEvalChip(flash.TLC, seed, eng, age.PE, hours)
-		if err != nil {
-			return nil, err
-		}
-		ctl, err := s.Controller(chip, s.MaxRetries)
-		if err != nil {
-			return nil, err
-		}
-		var wls []int
-		nwl := cfg.WordlinesPerBlock()
-		step := nwl / 16
-		if step < 1 {
-			step = 1
-		}
-		for wl := 0; wl < nwl; wl += step {
-			wls = append(wls, wl)
-		}
-		sent := retry.NewSentinelPolicy(eng)
-		cache, err := retry.NewHistCache(4, 64<<10, chip.Coding().NumVoltages(), eng.OffsetBound())
-		if err != nil {
-			return nil, err
-		}
-		retry.WarmHistCache(cache, chip, eng, []int{0}, wls[0], 0x9157)
-		policies := map[string]retry.Policy{
-			"table":            retry.NewDefaultTable(chip, s.TableStep),
-			"sentinel":         sent,
-			"sentinel+history": retry.NewSentinelHistory(cache, sent, false),
-		}
+		wls := rig.spreadWLs()
 		pt := &lifetimeGridPoint{}
 		for i, name := range lifetimePolicies {
-			pool, err := ssdsim.BuildSampler(ctl, policies[name], 0, wls, 3, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
+			pool, err := rig.Pool(name, wls, mathx.Mix(0x11fe+1, uint64(pi*8+i)))
 			if err != nil {
 				return nil, err
 			}
@@ -199,10 +163,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 	}
 
 	simCfg := ssdsim.DefaultConfig()
-	simCfg.Geo = ftl.Geometry{
-		Channels: 4, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	simCfg.Geo = ReplayGeometry()
 	// One read-heavy workload, materialized once: every (age, schedule,
 	// policy) cell replays the identical trace, isolating the lifetime
 	// axes.
@@ -225,14 +186,7 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 		traceSec = 1
 	}
 	hoursPerSecond := 1.5 * physics.YearHours / traceSec
-	// Every page of every read request is one page read; senses per
-	// read count the flash ones (unmapped reads never sense).
-	var pageReads int64
-	for _, r := range reqs {
-		if r.Op == trace.Read {
-			pageReads += int64(r.Pages)
-		}
-	}
+	pageReads := readPages(reqs)
 
 	res := &LifetimeResult{Requests: requests}
 	type group struct{ ai, si int }
@@ -277,15 +231,12 @@ func Lifetime(s Scale, requests int) (*LifetimeResult, error) {
 			}
 			cell := LifetimeCell{
 				Age: age.Name, Schedule: schedName, Policy: name,
-				MeanReadUS:   rep.MeanReadUS,
-				P99ReadUS:    rep.P99ReadUS,
-				DeviceHours:  rep.Life.DeviceHours,
-				Calibrations: rep.Life.Calibrations,
-				RunErases:    rep.Life.RunErases,
-			}
-			if flashReads := pageReads - rep.UnmappedReads; flashReads > 0 {
-				aux := cfg.Obs.Counter("ssdsim.aux_senses", "").Value()
-				cell.SensesPerRead = float64(flashReads+rep.TotalRetries+aux) / float64(flashReads)
+				SensesPerRead: sensesPerRead(pageReads, rep, cfg.Obs),
+				MeanReadUS:    rep.MeanReadUS,
+				P99ReadUS:     rep.P99ReadUS,
+				DeviceHours:   rep.Life.DeviceHours,
+				Calibrations:  rep.Life.Calibrations,
+				RunErases:     rep.Life.RunErases,
 			}
 			cells = append(cells, cell)
 		}

@@ -6,20 +6,18 @@ import (
 	"runtime"
 	"time"
 
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/parallel"
 	"sentinel3d/internal/ssdsim"
 	"sentinel3d/internal/trace"
 )
 
-// replayDevice is the 8-channel device the throughput measurement
-// shards (up to 8 ways); it matches the ssdsim replay benchmarks.
+// replayDevice is ReplayGeometry widened to 8 channels, the device the
+// throughput measurement shards (up to 8 ways); it matches the ssdsim
+// replay benchmarks.
 func replayDevice() ssdsim.Config {
 	cfg := ssdsim.DefaultConfig()
-	cfg.Geo = ftl.Geometry{
-		Channels: 8, ChipsPerChan: 1, DiesPerChip: 2, PlanesPerDie: 2,
-		BlocksPerPlane: 32, PagesPerBlock: 192,
-	}
+	cfg.Geo = ReplayGeometry()
+	cfg.Geo.Channels = 8
 	return cfg
 }
 

@@ -31,32 +31,17 @@ type Fig13Result struct {
 // at P/E 5000 with one-year retention, read wordline by wordline with the
 // static vendor table versus the sentinel policy.
 func Fig13RetryCount(s Scale) (*Fig13Result, error) {
-	model, err := s.TrainModel(flash.TLC, 113)
+	rig, err := s.Rig(flash.TLC, 113, 213, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 213)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 213, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	sent := retry.NewSentinelPolicy(eng)
 	res := &Fig13Result{}
-	msb := chip.Coding().Bits() - 1
+	msb := rig.Chip.Coding().Bits() - 1
 	type wlRead struct{ table, sent retry.Result }
-	reads := parallel.Map(cfg.WordlinesPerBlock(), func(wl int) wlRead {
+	reads := parallel.Map(rig.Cfg.WordlinesPerBlock(), func(wl int) wlRead {
 		return wlRead{
-			table: ctl.Read(0, wl, msb, table, mathx.Mix(0x13a, uint64(wl))),
-			sent:  ctl.Read(0, wl, msb, sent, mathx.Mix(0x13b, uint64(wl))),
+			table: rig.Ctl.Read(0, wl, msb, rig.Table, mathx.Mix(0x13a, uint64(wl))),
+			sent:  rig.Ctl.Read(0, wl, msb, rig.Sentinel, mathx.Mix(0x13b, uint64(wl))),
 		}
 	})
 	for _, r := range reads {
@@ -129,30 +114,17 @@ var MethodNames = [4]string{"default", "inferred", "calibrated", "optimal"}
 // and measures the error count of every read voltage per wordline under
 // default, inferred, calibrated, tracked, and optimal offsets.
 func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
-	model, err := s.TrainModel(kind, 116)
-	if err != nil {
-		return nil, err
-	}
-	cfg := s.ChipConfig(kind, 216)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
 	pe := 5000
 	if kind == flash.QLC {
 		pe = 1000
 	}
-	chip, err := s.BuildEvalChip(kind, 216, eng, pe, physics.YearHours)
+	rig, err := s.Rig(kind, 116, 216, pe, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
+	chip, eng, ctl, sent := rig.Chip, rig.Engine, rig.Ctl, rig.Sentinel
 	lab := charlab.New(chip)
-	sent := retry.NewSentinelPolicy(eng)
-	tracking := retry.NewTracking(retry.NewDefaultTable(chip, s.TableStep))
+	tracking := retry.NewTracking(rig.Table)
 	if err := tracking.UpdateBlock(chip, 0, 0); err != nil {
 		return nil, err
 	}
@@ -161,8 +133,8 @@ func ErrorComparison(s Scale, kind flash.Kind) (*ErrCompResult, error) {
 	nv := chip.Coding().NumVoltages()
 	res := &ErrCompResult{Kind: kind}
 	msb := chip.Coding().Bits() - 1
-	sv := model.SentinelVoltage
-	nwl := cfg.WordlinesPerBlock()
+	sv := rig.Model.SentinelVoltage
+	nwl := rig.Cfg.WordlinesPerBlock()
 	for m := range res.Errors {
 		res.Errors[m] = make([][]int, nv)
 		for v := 0; v < nv; v++ {

@@ -52,30 +52,17 @@ type RobustnessResult struct {
 // per-wordline fan-out uses index-addressed slots, so the result is
 // byte-identical at any worker count.
 func CorruptionSweep(s Scale) (*RobustnessResult, error) {
-	model, err := s.TrainModel(flash.TLC, 117)
+	rig, err := s.Rig(flash.TLC, 117, 217, 5000, physics.YearHours)
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.ChipConfig(flash.TLC, 217)
-	eng, err := s.Engine(model, cfg)
-	if err != nil {
-		return nil, err
-	}
-	chip, err := s.BuildEvalChip(flash.TLC, 217, eng, 5000, physics.YearHours)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.Controller(chip, s.MaxRetries)
-	if err != nil {
-		return nil, err
-	}
-	table := retry.NewDefaultTable(chip, s.TableStep)
-	bare := retry.NewSentinelPolicy(eng)
+	chip, ctl, table, bare := rig.Chip, rig.Ctl, rig.Table, rig.Sentinel
 	// The sentinels live at the tail of the wordline; corrupt exactly that
 	// region.
-	region := [2]int{cfg.CellsPerWordline - len(eng.Indices()), cfg.CellsPerWordline}
+	cells := rig.Cfg.CellsPerWordline
+	region := [2]int{cells - len(rig.Engine.Indices()), cells}
 	msb := chip.Coding().Bits() - 1
-	nwl := cfg.WordlinesPerBlock()
+	nwl := rig.Cfg.WordlinesPerBlock()
 	res := &RobustnessResult{}
 	for i, rate := range []float64{0, 0.02, 0.04, 0.06, 0.08, 0.10} {
 		if rate == 0 {
@@ -88,7 +75,7 @@ func CorruptionSweep(s Scale) (*RobustnessResult, error) {
 				StuckHighFraction: 1,
 			}))
 		}
-		fb := retry.NewFallback(retry.NewSentinelPolicy(eng), table)
+		fb := retry.NewFallback(bare, table)
 		stuck := fb.ProbeBlock(chip, 0, 0) // coordinator-side, before fan-out
 		type wlRead struct{ table, bare, fb retry.Result }
 		reads := parallel.Map(nwl, func(wl int) wlRead {

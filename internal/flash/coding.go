@@ -118,19 +118,6 @@ func (c *Coding) PageVoltages(p int) []int { return c.pageBoundaries[p] }
 // for QLC).
 func (c *Coding) SentinelVoltage() int { return c.pageBoundaries[PageLSB][0] }
 
-// PageOfVoltage returns the page whose read applies voltage v (1-based).
-// Every voltage belongs to exactly one page.
-func (c *Coding) PageOfVoltage(v int) int {
-	for p := 0; p < c.bits; p++ {
-		for _, b := range c.pageBoundaries[p] {
-			if b == v {
-				return p
-			}
-		}
-	}
-	return -1
-}
-
 // ReadBit decodes page p's bit from the number of applied read voltages
 // that lie at or below the cell's threshold voltage. below is the count of
 // page-p voltages V with V <= Vth; the bit starts at state 0's value and

@@ -84,12 +84,11 @@ func TestCodingBoundariesPartitionVoltages(t *testing.T) {
 		c := NewCoding(bits)
 		seen := make(map[int]int)
 		for p := 0; p < bits; p++ {
-			for _, v := range c.PageVoltages(p) {
-				seen[v]++
-				if got := c.PageOfVoltage(v); got != p {
-					t.Fatalf("bits=%d PageOfVoltage(%d) = %d, want %d",
-						bits, v, got, p)
+			for _, v := range c.pageBoundaries[p] {
+				if v < 1 || v > c.NumVoltages() {
+					t.Fatalf("bits=%d: page %d boundary V%d out of range", bits, p, v)
 				}
+				seen[v]++
 			}
 		}
 		if len(seen) != c.NumVoltages() {

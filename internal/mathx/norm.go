@@ -70,11 +70,6 @@ func NormCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
 }
 
-// NormPDF returns the standard normal density at x.
-func NormPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // GaussFromHash converts a 64-bit hash value into a standard normal
 // variate by pushing a uniform derived from the hash through NormInv.
 // The uniform is clamped away from {0, 1}, so the result is finite for

@@ -61,15 +61,6 @@ func TestNormCDFSymmetry(t *testing.T) {
 	}
 }
 
-func TestNormPDFPeakAndSymmetry(t *testing.T) {
-	if math.Abs(NormPDF(0)-1/math.Sqrt(2*math.Pi)) > 1e-15 {
-		t.Error("NormPDF(0) wrong")
-	}
-	if NormPDF(1.3) != NormPDF(-1.3) {
-		t.Error("NormPDF not symmetric")
-	}
-}
-
 func TestGaussFromHashMoments(t *testing.T) {
 	const n = 300000
 	var sum, sumSq float64

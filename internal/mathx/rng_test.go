@@ -3,7 +3,6 @@ package mathx
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64KnownValues(t *testing.T) {
@@ -135,43 +134,4 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 		}
 	}()
 	NewRand(1).Intn(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRand(11)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := NewRand(13)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed element multiset: sum %d != %d", got, sum)
-	}
 }

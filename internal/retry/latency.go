@@ -1,12 +1,11 @@
 // Package retry implements the read path of the flash controller: issue a
 // page read, check ECC, and — on failure — choose the next voltage
-// offsets. Four interchangeable policies cover the paper's comparisons:
+// offsets. Three interchangeable policies cover the paper's comparisons:
 //
 //   - DefaultTable: the "current flash" baseline that walks a vendor-style
 //     static retry table;
 //   - Tracking: the HPCA'15-style baseline that periodically records one
 //     wordline's optimal voltages per block and applies them block-wide;
-//   - Oracle: ground-truth optimal voltages (upper bound);
 //   - Sentinel: the paper's contribution — inference from sentinel-cell
 //     errors, then state-change calibration.
 //

@@ -195,60 +195,6 @@ func (s *trackingSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (f
 }
 
 // ---------------------------------------------------------------------------
-// Oracle — ground-truth optimum (upper bound).
-
-// OraclePolicy reads with the per-wordline ground-truth optimal offsets
-// located by full characterization sweeps. It is the paper's "OPT" and is
-// only realizable inside the simulator.
-type OraclePolicy struct {
-	mu    sync.Mutex
-	cache map[[2]int]flash.Offsets
-}
-
-// NewOracle returns an oracle with an empty sweep cache.
-func NewOracle() *OraclePolicy {
-	return &OraclePolicy{cache: make(map[[2]int]flash.Offsets)}
-}
-
-// Name implements Policy.
-func (p *OraclePolicy) Name() string { return "oracle" }
-
-// Session implements Policy.
-func (p *OraclePolicy) Session(env *Env) Session {
-	return &oracleSession{p: p, env: env}
-}
-
-type oracleSession struct {
-	p   *OraclePolicy
-	env *Env
-}
-
-func (s *oracleSession) NextOffsets(k int, _ flash.Bitmap, _ flash.Offsets) (flash.Offsets, bool) {
-	if k > 2 {
-		return nil, false // the optimum plus sensing-noise rerolls
-	}
-	key := [2]int{s.env.B, s.env.WL}
-	s.p.mu.Lock()
-	ofs, hit := s.p.cache[key]
-	s.p.mu.Unlock()
-	if !hit {
-		lab := charlab.New(s.env.Chip)
-		ofs = lab.OptimalOffsets(s.env.B, s.env.WL)
-		s.p.mu.Lock()
-		s.p.cache[key] = ofs
-		s.p.mu.Unlock()
-	}
-	return ofs, true
-}
-
-// Invalidate clears the sweep cache (call after aging the chip).
-func (p *OraclePolicy) Invalidate() {
-	p.mu.Lock()
-	p.cache = make(map[[2]int]flash.Offsets)
-	p.mu.Unlock()
-}
-
-// ---------------------------------------------------------------------------
 // Sentinel — the paper's technique.
 
 // SentinelPolicy wires the sentinel engine into the read path:

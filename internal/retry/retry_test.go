@@ -244,36 +244,6 @@ func TestSentinelLSBNeedsNoAuxSense(t *testing.T) {
 	}
 }
 
-func TestOraclePolicyNearZeroRetries(t *testing.T) {
-	eng := testEngine(t)
-	chip := agedTLCChip(t, eng)
-	capm := ecc.CapabilityModel{FrameBits: 8192, T: 28}
-	ctl, err := NewController(chip, capm, DefaultLatency(), 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := NewOracle()
-	var total float64
-	fails := 0
-	for wl := 0; wl < 16; wl++ {
-		res := ctl.Read(0, wl, 2, oracle, mathx.Mix(5, uint64(wl)))
-		total += float64(res.Retries)
-		if !res.OK {
-			fails++
-		}
-	}
-	if fails > 1 {
-		t.Fatalf("oracle failed %d reads", fails)
-	}
-	if total/16 > 0.5 {
-		t.Fatalf("oracle averaged %v retries", total/16)
-	}
-	oracle.Invalidate()
-	if len(oracle.cache) != 0 {
-		t.Fatal("Invalidate did not clear the cache")
-	}
-}
-
 func TestTrackingPolicy(t *testing.T) {
 	eng := testEngine(t)
 	chip := agedTLCChip(t, eng)
@@ -364,9 +334,6 @@ func TestPolicyNames(t *testing.T) {
 	}
 	if NewTracking(table).Name() != "tracking" {
 		t.Fatal("tracking name")
-	}
-	if NewOracle().Name() != "oracle" {
-		t.Fatal("oracle name")
 	}
 	if NewSentinelPolicy(testEngine(t)).Name() != "sentinel" {
 		t.Fatal("sentinel name")

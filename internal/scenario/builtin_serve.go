@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"sentinel3d/internal/experiments"
-	"sentinel3d/internal/ftl"
 	"sentinel3d/internal/serve"
 	"sentinel3d/internal/ssdsim"
 )
@@ -65,8 +64,7 @@ func runServe(ctx *Ctx) (*Outcome, error) {
 		Fleet: ssdsim.FleetConfig{
 			Sim: func() ssdsim.Config {
 				sim := ssdsim.DefaultConfig()
-				sim.Geo = ftl.Geometry{Channels: 4, ChipsPerChan: 1, DiesPerChip: 2,
-					PlanesPerDie: 2, BlocksPerPlane: 32, PagesPerBlock: 192}
+				sim.Geo = experiments.ReplayGeometry()
 				sim.Seed = ctx.Seed
 				return sim
 			}(),

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"sentinel3d/internal/experiments"
@@ -259,10 +260,7 @@ func (s *Spec) Validate() error {
 	default:
 		return fmt.Errorf("scenario: cell %q: unknown kind %q", s.Name, s.Kind)
 	}
-	switch s.Policy {
-	case "", "table", "sentinel", "fallback", "synthetic",
-		"history", "ar2", "sentinel+history":
-	default:
+	if s.Policy != "" && s.Policy != "synthetic" && !slices.Contains(experiments.PolicyNames, s.Policy) {
 		return fmt.Errorf("scenario: cell %q: unknown policy %q", s.Name, s.Policy)
 	}
 	if s.Age != "" {

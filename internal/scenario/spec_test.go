@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"sentinel3d/internal/experiments"
+	"sentinel3d/internal/flash"
+	"sentinel3d/internal/physics"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -35,6 +39,52 @@ func TestSpecValidate(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestPolicyNames checks that the policy names a replay cell may declare
+// are exactly the ones experiments.Rig builds: every listed name
+// validates and builds a policy of the matching kind, and an unknown
+// name is rejected by both.
+func TestPolicyNames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a chip; skipped in -short")
+	}
+	rig, err := experiments.Quick().Rig(flash.TLC, 1, 2, 5000, physics.YearHours)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"table":            "current-flash",
+		"sentinel":         "sentinel",
+		"fallback":         "sentinel+fallback",
+		"history":          "history",
+		"ar2":              "ar2",
+		"sentinel+history": "sentinel+history",
+	}
+	if len(experiments.PolicyNames) != len(want) {
+		t.Fatalf("PolicyNames = %v, want the %d names of %v", experiments.PolicyNames, len(want), want)
+	}
+	for _, name := range append([]string{"synthetic"}, experiments.PolicyNames...) {
+		spec := Spec{Name: "x", Experiment: "replay", Policy: name}
+		if err := spec.Validate(); err != nil {
+			t.Errorf("Validate rejected policy %q: %v", name, err)
+		}
+		if name == "synthetic" {
+			continue
+		}
+		pol, err := rig.Policy(name)
+		if err != nil {
+			t.Errorf("Rig.Policy(%q): %v", name, err)
+		} else if pol.Name() != want[name] {
+			t.Errorf("Rig.Policy(%q).Name() = %q, want %q", name, pol.Name(), want[name])
+		}
+	}
+	if _, err := rig.Policy("oracle"); err == nil {
+		t.Error("Rig.Policy accepted unknown policy \"oracle\"")
+	}
+	if err := (&Spec{Name: "x", Experiment: "replay", Policy: "oracle"}).Validate(); err == nil {
+		t.Error("Validate accepted unknown policy \"oracle\"")
 	}
 }
 
